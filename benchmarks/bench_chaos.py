@@ -33,7 +33,7 @@ import json
 import time
 from pathlib import Path
 
-from repro.serve.bench import record_trajectory_entry
+from repro.cli import record_trajectory_entry
 from repro.serve.chaos import run_chaos_bench
 
 RESULTS_DIR = Path(__file__).parent / "results"

@@ -18,17 +18,16 @@ from __future__ import annotations
 
 import json
 import time
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
+from repro.cli import record_trajectory_entry
 from repro.ml.binning import QuantileBinner
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.gbm import GradientBoostingRegressor
 
 RESULTS_DIR = Path(__file__).parent / "results"
-TRAJECTORY = RESULTS_DIR / "BENCH_kernels.json"
 
 FOREST_TREES = 200
 FOREST_TRAIN = 4_000
@@ -123,16 +122,10 @@ def bench_gbm_fit() -> dict:
 
 def run() -> dict:
     entry = {
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "forest_predict": bench_forest_predict(),
         "gbm_fit": bench_gbm_fit(),
     }
-    RESULTS_DIR.mkdir(exist_ok=True)
-    trajectory = []
-    if TRAJECTORY.exists():
-        trajectory = json.loads(TRAJECTORY.read_text())
-    trajectory.append(entry)
-    TRAJECTORY.write_text(json.dumps(trajectory, indent=2) + "\n")
+    record_trajectory_entry(entry, RESULTS_DIR, filename="BENCH_kernels.json")
 
     fp, gf = entry["forest_predict"], entry["gbm_fit"]
     table = "\n".join(

@@ -9,26 +9,21 @@ Every major capability is reachable without writing Python::
     repro cluster   --dataset theta.npz --clusters 10
     repro export-darshan --dataset theta.npz --out logs/ --limit 100
     repro drift     --dataset theta.npz
-    repro serve-bench --models forest gbm --requests 2000
-    repro serve-bench --gateway --target-ms 5
-    repro serve-bench --gateway --monitor
-    repro serve-bench --shards 2 --transport socket
-    repro serve-bench --transports
-    repro monitor-bench --requests 2000
-    repro serve-net --requests 2000 --window 64
-    repro serve-net --shards 2 --transport socket
     repro chaos-bench --names 25 --versions-per-name 20 --kills 6
     repro obs --requests 64 --slowest 8
-    repro obs-bench --requests 2000 --sample 8
 
 Commands accept either ``--dataset file.npz`` (a saved dataset) or
-``--platform/--jobs/--seed`` to simulate one on the fly.
+``--platform/--jobs/--seed`` to simulate one on the fly.  Serving
+throughput and latency are measured by ``benchmarks/e2e/run.py``; the
+serving planes' overhead gates by ``python benchmarks/bench_serve.py``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +34,62 @@ from repro.ml.metrics import dex_to_pct
 from repro.taxonomy import application_bound, noise_bound
 from repro.viz import format_table
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "make_serve_model", "record_trajectory_entry"]
+
+
+def record_trajectory_entry(
+    entry: dict, results_dir: Path, filename: str = "BENCH_serve.json"
+) -> Path:
+    """Append one timestamped entry to a bench trajectory
+    (``BENCH_serve.json`` by default; ``BENCH_chaos.json`` and
+    ``BENCH_kernels.json`` are the others — one entry per run, never
+    overwritten).
+
+    The single writer for the trajectory format: the CLI and the
+    ``benchmarks/bench_*.py`` scripts all go through here, so the
+    load-append-write scheme cannot drift between them.
+    """
+    results_dir = Path(results_dir)
+    results_dir.mkdir(parents=True, exist_ok=True)
+    trajectory_path = results_dir / filename
+    trajectory = []
+    if trajectory_path.exists():
+        trajectory = json.loads(trajectory_path.read_text())
+    trajectory.append(
+        {"timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"), **entry}
+    )
+    trajectory_path.write_text(json.dumps(trajectory, indent=2) + "\n")
+    return trajectory_path
+
+
+def _synth(n: int, d: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0, 1, (n, d))
+    y = (
+        np.sin(2 * X[:, 0])
+        + 0.5 * X[:, 1] ** 2
+        + X[:, 2] * X[:, 3]
+        + 0.1 * rng.normal(0, 1, n)
+    )
+    return X, y
+
+
+def make_serve_model(kind: str, n_train: int, n_features: int, n_trees: int, seed: int):
+    """Train the synthetic-data estimator a serving demo or bench registers."""
+    X, y = _synth(n_train, n_features, seed)
+    if kind == "forest":
+        from repro.ml.forest import RandomForestRegressor
+
+        return RandomForestRegressor(
+            n_estimators=n_trees, max_depth=12, random_state=seed
+        ).fit(X, y)
+    if kind == "gbm":
+        from repro.ml.gbm import GradientBoostingRegressor
+
+        return GradientBoostingRegressor(
+            n_estimators=n_trees, max_depth=6, loss="squared", random_state=seed
+        ).fit(X, y)
+    raise ValueError(f"kind must be 'forest' or 'gbm', got {kind!r}")
 
 
 def _add_source_args(p: argparse.ArgumentParser) -> None:
@@ -154,249 +204,7 @@ def cmd_drift(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_serve_bench(args: argparse.Namespace) -> int:
-    from repro.serve.bench import (
-        record_trajectory_entry,
-        run_fault_bench,
-        run_gateway_bench,
-        run_serve_bench,
-        run_shard_bench,
-        run_transport_bench,
-    )
-
-    if args.monitor and (args.shards or args.faults or args.transports):
-        print("--monitor applies to gateway mode; drop --shards/--faults/--transports",
-              file=sys.stderr)
-        return 2
-
-    if args.transports:
-        r = run_transport_bench(
-            kinds=tuple(args.models),
-            n_train=args.train,
-            n_trees=args.trees,
-            n_requests=args.requests,
-            max_batch=args.batch,
-            max_delay=args.deadline_ms / 1e3,
-            seed=args.seed,
-        )
-        rows = [
-            [t, f"{r[t]['rps']:.0f}", f"{r[t]['p50_ms']:.2f}", f"{r[t]['p99_ms']:.2f}"]
-            for t in ("pipe", "socket")
-        ]
-        st = r["steal"]
-        rows += [
-            [f"pipe, skew, steal {mode}", f"{st[mode]['rps']:.0f}",
-             f"{st[mode]['p50_ms']:.2f}", f"{st[mode]['p99_ms']:.2f}"]
-            for mode in ("off", "on")
-        ]
-        print(format_table(
-            ["path", "req/s", "p50 ms", "p99 ms"],
-            rows,
-            title=(f"Shard transports — {r['n_requests']} Zipf-skewed requests "
-                   f"over {len(r['names'])} names x {r['n_shards']} shards: "
-                   f"socket/pipe throughput {r['socket_vs_pipe_rps']:.2f}x, "
-                   f"{st['on']['steals']} steals rerouted "
-                   "(bit-identical on every path)")))
-        path = record_trajectory_entry({"transport": r}, args.record_dir)
-        print(f"recorded transport entry in {path}")
-        return 0
-
-    if args.faults:
-        r = run_fault_bench(
-            kind=args.models[0],
-            n_train=args.train,
-            n_trees=args.trees,
-            n_requests=args.requests,
-            max_batch=args.batch,
-            max_delay=args.deadline_ms / 1e3,
-            seed=args.seed,
-            n_kills=args.kills,
-        )
-        rows = [
-            ["bare cluster", f"{r['bare_rps']:.0f}", "-"],
-            ["retry-wrapped", f"{r['wrapped_rps']:.0f}",
-             f"{r['overhead_pct']:+.2f}% (gate {r['max_overhead_pct']:.1f}%)"],
-        ]
-        print(format_table(
-            ["path", "req/s", "overhead"], rows,
-            title=(f"Fault injection — {r['n_requests']} requests, "
-                   f"{r['n_kills']} kills over {r['n_shards']} shards: recovery "
-                   f"p50 {r['recovery_p50_ms']:.1f}ms / "
-                   f"p99 {r['recovery_p99_ms']:.1f}ms, "
-                   f"{r['respawns']} respawns, {r['retries']} retries, "
-                   f"{r['failed_fast']} failed fast")))
-        path = record_trajectory_entry({"faults": r}, args.record_dir)
-        print(f"recorded faults entry in {path}")
-        return 0
-
-    if args.shards:
-        r = run_shard_bench(
-            kinds=tuple(args.models),
-            n_train=args.train,
-            n_trees=args.trees,
-            n_requests=args.requests,
-            n_shards=args.shards,
-            max_batch=args.batch,
-            max_delay=args.deadline_ms / 1e3,
-            seed=args.seed,
-            transport=args.transport,
-        )
-        block_total = r["block_repeats"] * r["block_rows"]
-        rows = [
-            ["stream (hash-routed)", f"{r['direct_rps']:.0f}", f"{r['cluster_rps']:.0f}",
-             f"{r['speedup_cluster']:.1f}x", f"{r['mean_latency_ms']:.2f}"],
-            [f"block ({r['block_model']}, {r['block_rows']} rows)",
-             f"{block_total / r['block_direct_s']:.0f}",
-             f"{block_total / r['block_cluster_s']:.0f}",
-             f"{r['speedup_block']:.1f}x", "-"],
-        ]
-        print(format_table(
-            ["traffic", "req/s direct", "req/s cluster", "speedup", "latency ms"],
-            rows,
-            title=(f"Sharded serving — {r['n_requests']} requests over "
-                   f"{len(r['models'])} models x {r['n_shards']} shard processes "
-                   f"via {r['transport']} transport "
-                   f"(per-shard load: {r['per_shard_requests']})")))
-        path = record_trajectory_entry({"cluster": r}, args.record_dir)
-        print(f"recorded cluster entry in {path}")
-        return 0
-
-    if args.gateway or args.monitor:
-        r = run_gateway_bench(
-            kinds=tuple(args.models),
-            n_train=args.train,
-            n_trees=args.trees,
-            n_requests=args.requests,
-            max_batch=args.batch,
-            max_delay=args.deadline_ms / 1e3,
-            seed=args.seed,
-            target_latency_ms=args.target_ms,
-            monitor=args.monitor,
-        )
-        rows = [
-            [name, p["requests"], p["batches"], f"{p['mean_batch_rows']:.0f}",
-             f"{p['mean_latency_ms']:.2f}", p["final_max_batch"],
-             f"{p['final_max_delay_ms']:.2f}"]
-            for name, p in sorted(r["per_model"].items())
-        ]
-        print(format_table(
-            ["model", "requests", "batches", "batch rows", "latency ms",
-             "tuned batch", "tuned delay ms"],
-            rows,
-            title=(f"Gateway serving — {r['n_requests']} requests over "
-                   f"{len(r['models'])} models: {r['direct_rps']:.0f} -> "
-                   f"{r['gateway_rps']:.0f} req/s ({r['speedup_gateway']:.1f}x, "
-                   f"target {args.target_ms:.1f}ms)")))
-        if args.monitor:
-            m = r["monitor"]
-            psi = ", ".join(
-                f"{name}: PSI {entry.get('max_psi', 0.0):.3f}"
-                for name, entry in sorted(m["per_name"].items())
-            )
-            print(f"monitor plane: {m['alerts']} alerts, "
-                  f"{m['tap_errors']} tap errors, windowed {psi} "
-                  "(bit-identity gate passed with the plane attached)")
-        return 0
-
-    rows = []
-    for kind in args.models:
-        r = run_serve_bench(
-            kind=kind,
-            n_train=args.train,
-            n_trees=args.trees,
-            n_requests=args.requests,
-            max_batch=args.batch,
-            max_delay=args.deadline_ms / 1e3,
-            seed=args.seed,
-        )
-        rows.append([
-            r["model"], r["n_requests"],
-            f"{r['unbatched_rps']:.0f}", f"{r['batched_rps']:.0f}",
-            f"{r['cached_rps']:.0f}", f"{r['speedup_batched']:.1f}x",
-            f"{r['mean_batch_rows']:.0f}", f"{r['cache_hit_rate']:.0%}",
-        ])
-    print(format_table(
-        ["model", "requests", "req/s direct", "req/s batched", "req/s cached",
-         "speedup", "batch rows", "hit rate"],
-        rows,
-        title="Serving throughput — 1-row request stream (micro-batched vs direct)"))
-    return 0
-
-
-def cmd_monitor_bench(args: argparse.Namespace) -> int:
-    from repro.serve.bench import record_trajectory_entry, run_monitor_bench
-
-    r = run_monitor_bench(
-        kind=args.model,
-        n_train=args.train,
-        n_trees=args.trees,
-        n_requests=args.requests,
-        max_batch=args.batch,
-        max_delay=args.deadline_ms / 1e3,
-        seed=args.seed,
-        repeats=args.repeats,
-        max_overhead_pct=args.max_overhead,
-    )
-    rows = [
-        ["unmonitored", f"{r['plain_rps']:.0f}", "-"],
-        ["monitored", f"{r['monitored_rps']:.0f}",
-         f"{r['overhead_pct']:+.2f}% (budget {r['max_overhead_pct']:.1f}%)"],
-    ]
-    print(format_table(
-        ["stream", "req/s", "overhead"],
-        rows,
-        title=(f"Monitoring plane — {r['n_requests']} requests x "
-               f"{r['model']} ({r['n_trees']} trees), best of {r['repeats']}: "
-               "bit-identical with the plane attached")))
-    drift = "; ".join(f"{e['rule']} -> {e['action']}" for e in r["drift_events"])
-    print(f"injected drift (windowed PSI {r['max_psi']:.2f}): {drift}; "
-          f"production restored to v{r['rolled_back_to']}")
-    path = record_trajectory_entry({"monitor": r}, args.record_dir)
-    print(f"recorded monitor entry in {path}")
-    return 0
-
-
-def cmd_serve_net(args: argparse.Namespace) -> int:
-    from repro.serve.bench import record_trajectory_entry, run_net_bench
-
-    r = run_net_bench(
-        kind=args.model,
-        n_train=args.train,
-        n_trees=args.trees,
-        n_requests=args.requests,
-        max_batch=args.batch,
-        max_delay=args.deadline_ms / 1e3,
-        seed=args.seed,
-        window=args.window,
-        overload_requests=args.overload_requests,
-        overload_in_flight=args.overload_in_flight,
-        shards=args.shards,
-        transport=args.transport,
-    )
-    backend = (f"{r['shards']}-shard {r['shard_transport']} cluster"
-               if r["shards"] else "gateway")
-    rows = [
-        [f"in-process {backend}", f"{r['inproc_rps']:.0f}", "-", "-"],
-        ["network (pipelined)", f"{r['net_rps']:.0f}",
-         f"{r['net_p50_ms']:.2f}", f"{r['net_p99_ms']:.2f}"],
-    ]
-    print(format_table(
-        ["path", "req/s", "p50 ms", "p99 ms"],
-        rows,
-        title=(f"Network front door ({backend}) — {r['n_requests']} requests "
-               f"x {r['model']} ({r['n_trees']} trees), window {r['window']}: "
-               "bit-identical across the wire")))
-    print(f"overload: {r['served']} served + {r['shed']} shed of "
-          f"{r['overload_requests']} burst requests "
-          f"(budget {r['overload_in_flight']}, shed rate {r['shed_rate']:.0%}, "
-          "every shed a structured OVERLOADED, every served bit-identical)")
-    path = record_trajectory_entry({"net": r}, args.record_dir)
-    print(f"recorded net entry in {path}")
-    return 0
-
-
 def cmd_chaos_bench(args: argparse.Namespace) -> int:
-    from repro.serve.bench import record_trajectory_entry
     from repro.serve.chaos import run_chaos_bench
 
     r = run_chaos_bench(
@@ -440,7 +248,6 @@ def cmd_obs(args: argparse.Namespace) -> int:
     """End-to-end observability demo: trace one wire request through a
     traced edge + sharded cluster, then pull its span dump, the slowest
     spans, and the unified metrics snapshot back over the same wire."""
-    from repro.serve.bench import make_serve_model
     from repro.serve.net import AsyncServeServer, ServeClient
     from repro.serve.obs import StructuredLogger, Tracer
     from repro.serve.registry import ModelRegistry
@@ -511,43 +318,6 @@ def cmd_obs(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_obs_bench(args: argparse.Namespace) -> int:
-    from repro.serve.bench import record_trajectory_entry, run_obs_bench
-
-    r = run_obs_bench(
-        kind=args.model,
-        n_train=args.train,
-        n_trees=args.trees,
-        n_requests=args.requests,
-        n_shards=args.shards,
-        max_batch=args.batch,
-        max_delay=args.deadline_ms / 1e3,
-        seed=args.seed,
-        repeats=args.repeats,
-        max_overhead_pct=args.max_overhead,
-        trace_sample=args.sample,
-    )
-    rows = [
-        ["untraced", f"{r['plain_rps']:.0f}", "-"],
-        [f"traced (1-in-{r['trace_sample']})", f"{r['traced_rps']:.0f}",
-         f"{r['overhead_pct']:+.2f}% (budget {r['max_overhead_pct']:.1f}%)"],
-    ]
-    print(format_table(
-        ["stream", "req/s", "overhead"],
-        rows,
-        title=(f"Observability plane — {r['n_requests']} requests x "
-               f"{r['model']} ({r['n_trees']} trees), median of {r['repeats']} "
-               "adjacent pairs: bit-identical with tracing attached")))
-    print(f"spans: {r['spans_recorded']} recorded, {r['spans_dropped']} dropped; "
-          f"cross-process trace over {r['n_shards']} socket shards reassembled "
-          f"{r['distinct_stages']} stages ({', '.join(r['trace_stages'])}); "
-          f"Prometheus/JSON exports agree with ClusterStats on "
-          f"{len(r['metrics_agree'])} families")
-    path = record_trajectory_entry({"obs": r}, args.record_dir)
-    print(f"recorded obs entry in {path}")
-    return 0
-
-
 def cmd_schedule(args: argparse.Namespace) -> int:
     from repro.scheduler import BatchScheduler, Dragonfly, PlacementPolicy
 
@@ -615,96 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--top", type=int, default=8, help="features to list")
     p.set_defaults(func=cmd_drift)
 
-    p = sub.add_parser("serve-bench", help="micro-batched serving throughput vs direct predicts")
-    p.add_argument("--models", nargs="+", default=["forest", "gbm"], choices=("forest", "gbm"))
-    p.add_argument("--trees", type=int, default=150, help="ensemble size to serve")
-    p.add_argument("--requests", type=int, default=2000, help="single-row requests to stream")
-    p.add_argument("--batch", type=int, default=256, help="micro-batch size trigger (rows)")
-    p.add_argument("--deadline-ms", type=float, default=2.0, help="max queueing delay per request")
-    mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--gateway", action="store_true",
-                      help="route one interleaved stream over all models through the "
-                           "multi-model ServingGateway with adaptive batch tuning")
-    mode.add_argument("--shards", type=int, default=0, metavar="N",
-                      help="serve through an N-process ShardedServingCluster "
-                           "(hash-routed stream + replicated block fan-out) and "
-                           "record a cluster entry in the serve trajectory")
-    mode.add_argument("--faults", action="store_true",
-                      help="fault-injection bench: RetryController overhead gate "
-                           "plus kill/respawn recovery latency (p50/p99 "
-                           "time-to-first-success) under a ShardSupervisor; "
-                           "records a faults entry in the serve trajectory")
-    mode.add_argument("--transports", action="store_true",
-                      help="transport comparison bench: the same Zipf-skewed "
-                           "stream over pipe vs socket shard clusters, plus "
-                           "work-stealing on/off tail latency under maximal "
-                           "hash skew; records a transport entry in the serve "
-                           "trajectory")
-    p.add_argument("--transport", default="pipe", choices=("pipe", "socket"),
-                   help="parent<->worker channel for the --shards cluster")
-    p.add_argument("--kills", type=int, default=5,
-                   help="shard kills injected by the --faults recovery phase")
-    p.add_argument("--target-ms", type=float, default=5.0,
-                   help="adaptive tuner latency target (gateway mode)")
-    p.add_argument("--monitor", action="store_true",
-                   help="attach the online monitoring plane to the gateway run "
-                        "(implies --gateway; the bit-identity gate then also "
-                        "checks the plane's observational contract)")
-    p.add_argument("--train", type=int, default=3000,
-                   help="training rows per benched model")
-    p.add_argument("--record-dir", type=Path, default=Path("benchmarks/results"),
-                   help="trajectory directory for --shards/--faults entries")
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_serve_bench)
-
-    p = sub.add_parser(
-        "monitor-bench",
-        help="monitoring-plane overhead (monitored vs unmonitored stream, "
-             "<=5%% budget) + drift-detection/auto-rollback check",
-    )
-    p.add_argument("--model", default="forest", choices=("forest", "gbm"))
-    p.add_argument("--trees", type=int, default=150)
-    p.add_argument("--requests", type=int, default=2000)
-    p.add_argument("--batch", type=int, default=256)
-    p.add_argument("--deadline-ms", type=float, default=50.0,
-                   help="deliberately generous: keeps the batch shape identical "
-                        "on both paths so the overhead number is tap cost, not "
-                        "a deadline-race artifact")
-    p.add_argument("--train", type=int, default=3000)
-    p.add_argument("--repeats", type=int, default=7,
-                   help="replays per path; best wall time wins (noise control)")
-    p.add_argument("--max-overhead", type=float, default=5.0,
-                   help="overhead budget in percent; exceeding it fails the bench")
-    p.add_argument("--record-dir", type=Path, default=Path("benchmarks/results"))
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_monitor_bench)
-
-    p = sub.add_parser(
-        "serve-net",
-        help="asyncio network front door: wire round-trip p50/p99 vs the "
-             "in-process gateway (bit-identical) + admission-control shed rate",
-    )
-    p.add_argument("--model", default="forest", choices=("forest", "gbm"))
-    p.add_argument("--trees", type=int, default=150)
-    p.add_argument("--requests", type=int, default=2000)
-    p.add_argument("--batch", type=int, default=256)
-    p.add_argument("--deadline-ms", type=float, default=2.0)
-    p.add_argument("--train", type=int, default=3000)
-    p.add_argument("--window", type=int, default=64,
-                   help="client pipeline depth (outstanding requests)")
-    p.add_argument("--overload-requests", type=int, default=300,
-                   help="burst size for the admission-control phase")
-    p.add_argument("--overload-in-flight", type=int, default=16,
-                   help="deliberately small server budget the burst must overrun")
-    p.add_argument("--shards", type=int, default=0, metavar="N",
-                   help="front an N-process ShardedServingCluster instead of a "
-                        "single-process gateway (0 = gateway)")
-    p.add_argument("--transport", default="pipe", choices=("pipe", "socket"),
-                   help="parent<->worker channel when --shards is set")
-    p.add_argument("--record-dir", type=Path, default=Path("benchmarks/results"))
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_serve_net)
-
     p = sub.add_parser(
         "chaos-bench",
         help="storm-scale chaos soak: hundreds of versions, Zipf multi-tenant "
@@ -755,33 +435,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="emit trace-correlated JSON log lines on stderr")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_obs)
-
-    p = sub.add_parser(
-        "obs-bench",
-        help="tracing overhead (traced vs untraced stream at the sampled "
-             "production config, <=5%% budget) + cross-process "
-             "trace-completeness and metrics-agreement gates",
-    )
-    p.add_argument("--model", default="forest", choices=("forest", "gbm"))
-    p.add_argument("--trees", type=int, default=150)
-    p.add_argument("--requests", type=int, default=2000)
-    p.add_argument("--batch", type=int, default=256)
-    p.add_argument("--deadline-ms", type=float, default=50.0,
-                   help="deliberately generous: keeps the batch shape identical "
-                        "on both paths so the overhead number is span cost, not "
-                        "a deadline-race artifact")
-    p.add_argument("--train", type=int, default=3000)
-    p.add_argument("--shards", type=int, default=2,
-                   help="socket shards for the trace-completeness phase")
-    p.add_argument("--repeats", type=int, default=7,
-                   help="adjacent plain/traced pairs; the median pair is reported")
-    p.add_argument("--max-overhead", type=float, default=5.0,
-                   help="overhead budget in percent; exceeding it fails the bench")
-    p.add_argument("--sample", type=int, default=8,
-                   help="trace 1-in-N auto-born requests (explicit ids always)")
-    p.add_argument("--record-dir", type=Path, default=Path("benchmarks/results"))
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_obs_bench)
 
     p = sub.add_parser("schedule", help="compare placement policies on a dragonfly")
     p.add_argument("--jobs", type=int, default=200)

@@ -61,22 +61,13 @@ one consistent snapshot of every stats surface as Prometheus text or
 JSON (served over the wire and via ``repro obs``); and
 :class:`StructuredLogger` emits trace-correlated, coded-error-aware
 JSON log lines.  All of it observational: bit-identical serving with
-the plane on or off, ≤ 5 % overhead gated by ``run_obs_bench``.
+the plane on or off, ≤ 5 % overhead gated by
+``python benchmarks/bench_serve.py``.
 """
 
 from repro.serve.adaptive import AdaptiveBatchTuner, TuningDecision
 from repro.serve.autoscale import ScalingDecision, SLOAutoscaler
 from repro.serve.batcher import MicroBatcher, Ticket
-from repro.serve.bench import (
-    make_serve_model,
-    run_fault_bench,
-    run_gateway_bench,
-    run_net_bench,
-    run_obs_bench,
-    run_serve_bench,
-    run_shard_bench,
-    run_transport_bench,
-)
 from repro.serve.cache import PredictionCache, request_digest
 from repro.serve.chaos import (
     ChaosConfig,
@@ -205,17 +196,9 @@ __all__ = [
     "ensure_code",
     "freeze_arrays",
     "from_wire",
-    "make_serve_model",
     "request_digest",
     "run_chaos_bench",
     "run_chaos_soak",
-    "run_fault_bench",
-    "run_gateway_bench",
-    "run_net_bench",
-    "run_obs_bench",
-    "run_serve_bench",
-    "run_shard_bench",
-    "run_transport_bench",
     "to_json",
     "to_prometheus",
     "to_wire",

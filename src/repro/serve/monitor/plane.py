@@ -265,7 +265,7 @@ class MonitoringPlane:
     # ------------------------------------------------------------------ #
     def on_request(self, name: str, row: np.ndarray, kind: str) -> None:
         # serving hot path: every gateway submission passes through here,
-        # and the ≤5% overhead contract is enforced by `repro monitor-bench`
+        # and the ≤5% overhead contract is enforced by benchmarks/bench_serve.py
         # — keep this to one dict probe, one ring write, one counter
         monitor = self._monitors.get(name)
         if monitor is None:

@@ -187,7 +187,7 @@ class AsyncServeServer:
         if self._thread is not None:
             raise RuntimeError("AsyncServeServer.start() called twice")
         self._thread = threading.Thread(
-            target=self._run_loop, name="serve-net-loop", daemon=True
+            target=self._run_loop, name="net-edge-loop", daemon=True
         )
         self._thread.start()
         self._started.wait()
@@ -283,10 +283,10 @@ class AsyncServeServer:
         self._conns.add(conn)
         self.connections += 1
         submitter = threading.Thread(
-            target=self._submitter, args=(conn,), name="serve-net-submit", daemon=True
+            target=self._submitter, args=(conn,), name="net-edge-submit", daemon=True
         )
         collector = threading.Thread(
-            target=self._collector, args=(conn,), name="serve-net-collect", daemon=True
+            target=self._collector, args=(conn,), name="net-edge-collect", daemon=True
         )
         conn.threads = [submitter, collector]
         submitter.start()

@@ -12,8 +12,8 @@ The observability plane for the serving stack (PR 10).  Three pieces:
   lines correlated to traces by id, coded-error aware.
 
 Everything here is observational: no scoring path, no ordering decision,
-bit-identical serving with the plane on or off (``run_obs_bench`` gates
-the overhead at ≤5 %).  See ``docs/observability.md``.
+bit-identical serving with the plane on or off (``python
+benchmarks/bench_serve.py`` gates the overhead at ≤5 %).  See ``docs/observability.md``.
 """
 
 from repro.serve.obs.logging import StructuredLogger

@@ -17,8 +17,8 @@ Design rules, mirroring the stack's standing invariants:
   ordering decision; with no tracer attached the instrumented code paths
   collapse to a ``None`` check (the serving layers only call in when a
   context exists), so traced and untraced serving are bit-identical —
-  and the ≤5 % overhead gate in ``run_obs_bench`` keeps the traced path
-  honest.
+  and the ≤5 % overhead gate in ``python benchmarks/bench_serve.py``
+  keeps the traced path honest.
 * **Frozen vocabulary.**  Components and stages are fixed sets
   (:data:`COMPONENTS`, :data:`STAGES`), exactly like the frozen
   :class:`~repro.serve.errors.ErrorCode` numbers: dashboards and tests

@@ -649,7 +649,9 @@ class ShardedServingCluster:
                     continue
                 with handle.lock:
                     dead = not handle.alive
-                if dead:
+                # a killed worker is dead once its process has exited,
+                # even before the reader has seen EOF and cleared `alive`
+                if dead or not handle.process.is_alive():
                     handle.transport.close()
                     handle.process.join(timeout=1.0)
                     shards[i] = self._spawn(handle.shard_id)

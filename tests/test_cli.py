@@ -1,9 +1,10 @@
 """Tests for the command-line interface (direct main() invocation)."""
 
-import numpy as np
+import json
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, record_trajectory_entry
 from repro.config import theta_config
 from repro.data import build_dataset
 
@@ -78,15 +79,18 @@ class TestCommands:
         for policy in ("contiguous", "cluster", "random"):
             assert policy in out
 
-    @pytest.mark.serve
-    @pytest.mark.gateway
-    def test_serve_bench_gateway_mode(self, capsys):
-        """Small multi-model gateway run through the CLI — the bench core
-        asserts per-name bit-identity before printing anything."""
-        rc = main(["serve-bench", "--gateway", "--requests", "200",
-                   "--trees", "20", "--target-ms", "5"])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "Gateway serving" in out
-        assert "forest" in out and "gbm" in out
-        assert "tuned batch" in out
+
+class TestTrajectory:
+    def test_second_entry_appends_and_leaves_the_first_untouched(self, tmp_path):
+        path = record_trajectory_entry({"run": {"value": 1.5}}, tmp_path / "results",
+                                       filename="BENCH_x.json")
+        first = path.read_text()
+        assert record_trajectory_entry({"run": {"value": 2.5}}, tmp_path / "results",
+                                       filename="BENCH_x.json") == path
+        second = path.read_text()
+        trajectory = json.loads(second)
+        assert [e["run"]["value"] for e in trajectory] == [1.5, 2.5]
+        assert all(set(e) == {"timestamp", "run"} for e in trajectory)
+        # the first entry's bytes are unchanged: the file only grew past it
+        head = first[:first.rindex("}") + 1]
+        assert second.startswith(head) and second[len(head):].startswith(",\n  {")

