@@ -245,12 +245,15 @@ def cmd_chaos_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_obs(args: argparse.Namespace) -> int:
-    """End-to-end observability demo: trace one wire request through a
-    traced edge + sharded cluster, then pull its span dump, the slowest
-    spans, and the unified metrics snapshot back over the same wire."""
+    """End-to-end observability demo on the deployed stack: trace one wire
+    request through edge -> RetryController -> sharded cluster, then pull
+    its span dump, the slowest spans, and the unified metrics snapshot
+    back over the same wire.  Exits 1 when the reassembled trace covers
+    fewer than 6 distinct stages."""
     from repro.serve.net import AsyncServeServer, ServeClient
     from repro.serve.obs import StructuredLogger, Tracer
     from repro.serve.registry import ModelRegistry
+    from repro.serve.resilience import RetryController
     from repro.serve.shard import ShardedServingCluster
 
     log = StructuredLogger(stream=sys.stderr if args.log_json else None)
@@ -267,7 +270,7 @@ def cmd_obs(args: argparse.Namespace) -> int:
         registry, n_shards=args.shards, route="hash", transport=args.transport,
         tracer=tracer,
     ) as cluster:
-        with AsyncServeServer(cluster, tracer=tracer) as server:
+        with AsyncServeServer(RetryController(cluster), tracer=tracer) as server:
             log.info("server-up", host=server.host, port=server.port,
                      shards=args.shards, transport=args.transport)
             with ServeClient(server.host, server.port, timeout=30.0) as client:
@@ -313,8 +316,14 @@ def cmd_obs(args: argparse.Namespace) -> int:
                     print(format_table(
                         ["metric", "labels", "value"], rows_out,
                         title=(f"Unified metrics — {len(snap['families'])} "
-                               "families (edge + cluster + spans)")))
-    log.info("done", spans=len(spans), dropped=sum(dump["dropped"].values()))
+                               "families (edge + retry + cluster + spans)")))
+    stages = {(s["component"], s["stage"]) for s in spans}
+    log.info("done", spans=len(spans), stages=len(stages),
+             dropped=sum(dump["dropped"].values()))
+    if len(stages) < 6:
+        print(f"incomplete trace: {len(stages)} distinct stages, need >= 6",
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -417,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "obs",
         help="observability demo: trace one wire request end to end "
-             "(edge -> cluster -> worker), dump its spans, the slowest "
+             "(edge -> retry -> cluster -> worker), dump its spans, the slowest "
              "spans, and the unified metrics snapshot over the wire ops",
     )
     p.add_argument("--model", default="forest", choices=("forest", "gbm"))

@@ -67,6 +67,7 @@ the plane on or off, ≤ 5 % overhead gated by
 
 from repro.serve.adaptive import AdaptiveBatchTuner, TuningDecision
 from repro.serve.autoscale import ScalingDecision, SLOAutoscaler
+from repro.serve.backend import Backend
 from repro.serve.batcher import MicroBatcher, Ticket
 from repro.serve.cache import PredictionCache, request_digest
 from repro.serve.chaos import (
@@ -138,6 +139,7 @@ from repro.serve.transport import (
 __all__ = [
     "AdaptiveBatchTuner",
     "AsyncServeServer",
+    "Backend",
     "COMPONENTS",
     "ChaosConfig",
     "ChaosLinearModel",

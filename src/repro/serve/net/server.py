@@ -12,8 +12,8 @@ worker's enqueue/responder split:
 * the **reader coroutine** (event loop) parses frames and applies
   admission control, then hands work to
 * the **submitter thread**, which bridges each request to
-  ``backend.submit(name, row, kind)`` — a :class:`ServingGateway` or a
-  :class:`ShardedServingCluster`; a size-triggered flush scores *inline*
+  ``backend.submit(name, row, kind, trace=ctx)`` on any
+  :class:`~repro.serve.backend.Backend`; a size-triggered flush scores *inline*
   in the submitting thread, which is exactly why submission cannot run on
   the loop — and chains the ticket to
 * the **collector thread**, which blocks on ``ticket.result()`` strictly
@@ -47,6 +47,7 @@ import queue
 import threading
 from typing import Any
 
+from repro.serve.backend import Backend, empty_export, merge_export
 from repro.serve.errors import ErrorCode, coded, ensure_code
 from repro.serve.net.protocol import (
     MAX_FRAME_BYTES,
@@ -83,11 +84,13 @@ class AsyncServeServer:
     Parameters
     ----------
     backend:
-        Anything with the serve stack's front-door shape —
-        ``submit(name, row, kind)`` returning a ticket whose ``result()``
-        blocks: a :class:`~repro.serve.router.ServingGateway` or a
-        :class:`~repro.serve.shard.ShardedServingCluster`.  The server
-        never closes the backend; it usually outlives the edge.
+        A :class:`~repro.serve.backend.Backend`: a
+        :class:`~repro.serve.router.ServingGateway`, a
+        :class:`~repro.serve.shard.ShardedServingCluster`, or a
+        :class:`~repro.serve.resilience.RetryController` over one.  Any
+        object with that ``submit`` is served too, but contributes no
+        spans or tracers.  The server never closes the backend; it
+        usually outlives the edge.
     host, port:
         Bind address; ``port=0`` picks a free port (``.port`` has the real
         one after :meth:`start`).
@@ -111,8 +114,9 @@ class AsyncServeServer:
         the frame's ``"trace"`` field) recording
         ``parse``/``admission``/``respond`` edge spans, errors carry the
         trace id inside their wire payload, and the ``trace``/``slowest``
-        op frames export spans.  Share one tracer between the server and
-        a traced backend so edge and backend spans land in one place.
+        op frames export spans.  The context rides ``backend.submit``
+        down the whole stack, so share one tracer between the server and
+        a traced backend and edge and backend spans join under one id.
     trace_sample:
         Auto-born traces sample 1-in-``trace_sample`` requests
         (deterministic stride, the monitor plane's ``sample`` dial); a
@@ -156,11 +160,9 @@ class AsyncServeServer:
         # one unified metrics surface: backend stats + edge counters +
         # span-ring accounting, all read at op time (never cached)
         self.metrics = MetricsRegistry().add_backend(backend).add_server(self)
-        if tracer is not None:
-            self.metrics.add_tracer(tracer)
-        backend_tracer = getattr(backend, "_tracer", None)
-        if backend_tracer is not None:
-            self.metrics.add_tracer(backend_tracer)  # dedups shared tracers
+        self._backend_tracers = backend.tracers() if isinstance(backend, Backend) else []
+        for t in ([tracer] if tracer is not None else []) + self._backend_tracers:
+            self.metrics.add_tracer(t)  # dedups shared tracers
 
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.base_events.Server | None = None
@@ -419,12 +421,7 @@ class AsyncServeServer:
                 continue
             _, req_id, name, kind, arr, single, ctx = item
             try:
-                # the trace kwarg only exists when a context does — an
-                # untraced server drives duck-typed backends unchanged
-                if ctx is not None:
-                    ticket = self.backend.submit(name, arr, kind=kind, trace=ctx)
-                else:
-                    ticket = self.backend.submit(name, arr, kind=kind)
+                ticket = self.backend.submit(name, arr, kind, trace=ctx)
             except BaseException as exc:
                 if ctx is not None:
                     _tag_trace(exc, ctx)
@@ -516,31 +513,15 @@ class AsyncServeServer:
                     ErrorCode.MALFORMED_REQUEST)
 
     def collect_spans(self, trace_id: str | None = None) -> dict[str, Any]:
-        """Merged span export: the edge tracer plus the backend's
-        ``trace_spans`` (which, on a cluster, already fans out to the
-        workers).  A tracer shared between edge and backend is exported
-        once — identity-checked, never double-counted."""
-        backend_fn = getattr(self.backend, "trace_spans", None)
-        if callable(backend_fn):
-            out = backend_fn(trace_id)
-            if self.tracer is not None and self.tracer is not getattr(
-                self.backend, "_tracer", None
-            ):
-                _merge_export(out, self.tracer.export(trace_id))
-            return out
-        if self.tracer is not None:
-            return self.tracer.export(trace_id)
-        return {"spans": [], "dropped": {}, "recorded": {}}
-
-
-def _merge_export(dst: dict[str, Any], src: dict[str, Any]) -> dict[str, Any]:
-    """Fold one tracer export into another: spans concatenate, the
-    per-component drop/recorded counters sum."""
-    dst["spans"].extend(src["spans"])
-    for key in ("dropped", "recorded"):
-        for comp, n in src[key].items():
-            dst[key][comp] = dst[key].get(comp, 0) + n
-    return dst
+        """Merged span export: the backend's ``trace_spans`` (which, on a
+        cluster, already fans out to the workers) plus the edge tracer.
+        A tracer shared between edge and backend is exported once —
+        identity-checked, never double-counted."""
+        out = (self.backend.trace_spans(trace_id) if isinstance(self.backend, Backend)
+               else empty_export())
+        if self.tracer is not None and self.tracer not in self._backend_tracers:
+            merge_export(out, self.tracer.export(trace_id))
+        return out
 
 
 def _tag_trace(exc: BaseException, ctx: Any) -> None:

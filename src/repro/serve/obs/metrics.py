@@ -29,7 +29,9 @@ import json
 import threading
 from typing import Any, Callable, NamedTuple
 
+from repro.serve.backend import Backend
 from repro.serve.obs.trace import Tracer
+from repro.serve.stats import ClusterStats
 
 __all__ = [
     "METRICS",
@@ -159,7 +161,7 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._backend: Any = None            # .stats() -> Gateway/ClusterStats
+        self._backend: Any = None            # root Backend: Gateway/ClusterStats
         self._server: Any = None             # .counters() -> edge dict
         self._tracers: list[Tracer] = []
         self._resilience: list[Any] = []     # .stats() -> ResilienceStats
@@ -167,10 +169,16 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------------ #
     def add_backend(self, backend: Any) -> "MetricsRegistry":
-        """Attach the serving backend (gateway or cluster): the source of
-        the ``repro_serve_*`` / ``repro_gateway_*`` / ``repro_cluster_*``
-        families, read via ``backend.stats()``."""
+        """Attach a :class:`~repro.serve.backend.Backend`.  The root of its
+        decorator chain (gateway or cluster) is the source of the
+        ``repro_serve_*`` / ``repro_gateway_*`` / ``repro_cluster_*``
+        families; each decorator above it (a ``RetryController``) is a
+        ``repro_resilience_*`` source, exactly as :meth:`add_resilience`."""
         with self._lock:
+            while isinstance(backend, Backend) and backend.wrapped is not None:
+                if backend not in self._resilience:
+                    self._resilience.append(backend)
+                backend = backend.wrapped
             self._backend = backend
         return self
 
@@ -191,7 +199,8 @@ class MetricsRegistry:
         """Attach a retry controller / supervisor (``repro_resilience_*``;
         multiple sources sum field-wise, mirroring ResilienceStats)."""
         with self._lock:
-            self._resilience.append(source)
+            if source not in self._resilience:
+                self._resilience.append(source)
         return self
 
     def add_events(self, provider: Callable[[], Any]) -> "MetricsRegistry":
@@ -243,10 +252,11 @@ class MetricsRegistry:
             emit("repro_edge_shed_total", int(c["shed"]))
             emit("repro_edge_wire_errors_total", int(c["wire_errors"]))
             emit("repro_edge_in_flight", int(c["in_flight"]))
-        for source in resilience:
-            st = source.stats()
+        if resilience:
+            snaps = [source.stats() for source in resilience]
             for field in _RESILIENCE_FIELDS:
-                emit(f"repro_resilience_{field}_total", int(getattr(st, field)))
+                emit(f"repro_resilience_{field}_total",
+                     sum(int(getattr(st, field)) for st in snaps))
         if event_sources:
             by_code: dict[str, int] = {}
             for provider in event_sources:
@@ -297,13 +307,12 @@ class MetricsRegistry:
         emit("repro_serve_latency_samples_dropped_total",
              int(total.latency_dropped))
         emit("repro_serve_models", len(st.per_name))
-        if hasattr(st, "per_shard"):  # ClusterStats: one more rollup level
+        if isinstance(st, ClusterStats):  # one more rollup level
             emit("repro_gateway_tap_errors_total", int(st.tap_errors_total))
             emit("repro_cluster_steals_total", int(st.steals))
             emit("repro_cluster_shards_live", len(st.per_shard))
         else:
-            emit("repro_gateway_tap_errors_total",
-                 int(getattr(st, "tap_errors", 0)))
+            emit("repro_gateway_tap_errors_total", int(st.tap_errors))
 
     # ------------------------------------------------------------------ #
     def prometheus(self) -> str:

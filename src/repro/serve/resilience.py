@@ -7,10 +7,10 @@ Three cooperating pieces wrap a
 scoring path (results stay bit-identical — recovery changes *where* a
 request scores, never *what* it returns):
 
-* :class:`RetryController` — a submit front door with deadline-budgeted
-  retries.  Only ``retryable`` codes are retried (a transient shard crash
-  is; malformed input never is — resubmitting the same bytes cannot
-  help).  The gate is purely taxonomic —
+* :class:`RetryController` — a :class:`~repro.serve.backend.Backend`
+  decorator with deadline-budgeted retries.  Only ``retryable`` codes
+  are retried (a transient shard crash is; malformed input never is —
+  resubmitting the same bytes cannot help).  The gate is purely taxonomic —
   ``code.category == "transient" and code.retryable`` — so a channel
   failure surfacing as the transport layer's coded ``TRANSPORT_ERROR``
   (510) feeds breakers and retries exactly like a ``SHARD_CRASHED``
@@ -20,13 +20,12 @@ request scores, never *what* it returns):
   (:mod:`repro.serve.transport`).  Exponential backoff stays a pure
   function of the injected clock and the seeded jitter stream: replaying
   the same submit order against the same failure schedule reproduces the
-  same sleeps, the same attempt counts, the same outcome.  When the
-  wrapped cluster carries a :class:`~repro.serve.obs.trace.Tracer`, every
-  logical request gets one trace context spanning *all* its attempts:
-  the controller records a ``("resilience", "retry")`` span per
-  re-attempt (covering the backoff sleep, tagged with the attempt number
-  and the coded failure that triggered it), so a recovered request's
-  span dump shows exactly where its latency went.
+  same sleeps, the same attempt counts, the same outcome.  A traced
+  request keeps one trace context across *all* its attempts: the
+  controller records a ``("resilience", "retry")`` span per re-attempt
+  (covering the backoff sleep, tagged with the attempt number and the
+  coded failure that triggered it), so a recovered request's span dump
+  shows exactly where its latency went.
 * :class:`CircuitBreaker` — per-shard failure memory.  ``K`` consecutive
   transient failures open the circuit; after ``reset_timeout_s`` one
   half-open probe is let through, and its outcome closes or re-opens.
@@ -54,6 +53,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.serve.backend import Backend, as_block
 from repro.serve.errors import CodedError, ErrorCode, classify_exception
 from repro.serve.monitor.policy import MonitorEvent
 from repro.serve.stats import ResilienceStats
@@ -218,14 +218,16 @@ class RetryTicket:
         return self._value
 
 
-class RetryController:
-    """Deadline-budgeted retry front door over a sharded cluster.
+class RetryController(Backend):
+    """Deadline-budgeted retries: a ``Backend → Backend`` decorator.
 
     Parameters
     ----------
     cluster:
-        The :class:`~repro.serve.shard.ShardedServingCluster` (anything
-        with ``submit``/``submit_block``/``shard_of``/``route``) to wrap.
+        The backend to wrap (:attr:`wrapped`), usually a
+        :class:`~repro.serve.shard.ShardedServingCluster`: under hash
+        routing its ``shard_of`` keys the per-shard breakers.  The
+        controller never closes it — whoever built it does.
     deadline_s:
         Default per-request retry budget; ``result(timeout=)`` overrides
         it per call.  The budget covers everything — waits, backoff
@@ -244,11 +246,14 @@ class RetryController:
         Injected time sources (fakes make every trajectory a pure
         function of the failure schedule).
     tracer:
-        A :class:`~repro.serve.obs.trace.Tracer` for retry-attempt spans;
-        defaults to the wrapped cluster's own tracer when it has one, so
-        a traced cluster's front door is traced for free.  Tracing is
-        observational only — span recording cannot change a retry
-        trajectory.
+        Optional :class:`~repro.serve.obs.trace.Tracer`.  When set, the
+        controller is where every untraced request's trace is born.
+        Without one, a request is traced only if it arrives with a
+        context (``submit(..., trace=)``) or the wrapped backend samples
+        it on the first attempt — so the wrapped backend's
+        ``trace_sample`` holds behind the controller.  Either way every
+        attempt reuses the one context.  Tracing is observational only —
+        span recording cannot change a retry trajectory.
 
     Only codes with ``retryable=True`` are ever retried; a 4xx-class
     failure surfaces immediately with zero resubmissions.  Hash-routed
@@ -281,7 +286,7 @@ class RetryController:
             raise ValueError("multiplier must be >= 1")
         if not (0.0 <= jitter < 1.0):
             raise ValueError("jitter must be in [0, 1)")
-        self.cluster = cluster
+        self.wrapped = cluster
         self.deadline_s = float(deadline_s)
         self.base_delay_s = float(base_delay_s)
         self.max_delay_s = float(max_delay_s)
@@ -292,7 +297,8 @@ class RetryController:
         self._breaker_reset_s = float(breaker_reset_s)
         self._clock = clock
         self._sleep = sleep
-        self._tracer = tracer if tracer is not None else getattr(cluster, "_tracer", None)
+        self._init_tracing(tracer)
+        self._closed = False
         self._lock = threading.Lock()  # guards counters, breakers, index
         self._breakers: dict[int, CircuitBreaker] = {}
         self._next_index = 0
@@ -304,29 +310,22 @@ class RetryController:
         self.exhausted = 0
 
     # ------------------------------------------------------------------ #
-    def submit(self, name: str, row: np.ndarray, kind: str = "predict") -> RetryTicket:
+    def submit(self, name: str, row: np.ndarray, kind: str = "predict", *,
+               trace: Any = None) -> RetryTicket:
         """Enqueue one resilient request (row copied: retries may resend
         it long after the caller reused its buffer)."""
-        return self._make_ticket(name, np.array(row, dtype=float), kind, block=False)
+        return self._make_ticket(name, np.array(row, dtype=float), kind, False, trace)
 
-    def submit_block(self, name: str, X: np.ndarray, kind: str = "predict") -> RetryTicket:
+    def submit_block(self, name: str, X: np.ndarray, kind: str = "predict", *,
+                     trace: Any = None) -> RetryTicket:
         """Enqueue one (m, d) block; replicated fan-out degrades gracefully
         (the cluster re-routes a dead shard's rows onto live replicas), and
         a whole-block transient failure retries under the same budget."""
-        X = np.array(X, dtype=float)
-        if X.ndim != 2:
-            raise CodedError(f"block must be 2-D, got ndim={X.ndim}",
-                             code=ErrorCode.MALFORMED_REQUEST)
-        return self._make_ticket(name, X, kind, block=True)
+        return self._make_ticket(name, as_block(X).copy(), kind, True, trace)
 
-    def predict(self, name: str, row: np.ndarray, timeout: float | None = None) -> Any:
-        return self.submit(name, row).result(timeout)
-
-    def predict_dist(self, name: str, row: np.ndarray, timeout: float | None = None) -> Any:
-        return self.submit(name, row, kind="predict_dist").result(timeout)
-
-    def predict_block(self, name: str, X: np.ndarray, timeout: float | None = None) -> Any:
-        return self.submit_block(name, X).result(timeout)
+    def close(self) -> None:
+        """Refuse new requests (``CLOSED``); the wrapped backend stays open."""
+        self._closed = True
 
     def breaker(self, shard_id: int) -> CircuitBreaker:
         """The (lazily created) breaker guarding one shard."""
@@ -364,34 +363,36 @@ class RetryController:
 
     # ------------------------------------------------------------------ #
     def _make_ticket(self, name: str, payload: np.ndarray, kind: str,
-                     block: bool) -> RetryTicket:
+                     block: bool, trace: Any) -> RetryTicket:
+        if self._closed:
+            raise CodedError("RetryController is closed", code=ErrorCode.CLOSED)
         with self._lock:
             index = self._next_index
             self._next_index += 1
             self.submits += 1
-        # one trace context per logical request: every attempt shares the
-        # trace id, so a recovered request's span dump reads end-to-end
-        trace = self._tracer.start_trace() if self._tracer is not None else None
+        # one trace context per logical request, shared by every attempt
+        # (one the wrapped backend samples is adopted in _run), so a
+        # recovered request's span dump reads end-to-end
+        if trace is None and self._tracer is not None:
+            trace = self._sampled_trace()
         # eager first attempt: wrapped traffic coalesces into the same
         # micro-batches as bare traffic (a hash-routed name behind an
         # un-acquirable breaker defers to result(), which can wait)
         current = None
-        if (getattr(self.cluster, "route", "hash") != "hash"
-                or self.breaker(self.cluster.shard_of(name)).try_acquire()[0]):
+        if (self.wrapped.route != "hash"
+                or self.breaker(self.wrapped.shard_of(name)).try_acquire()[0]):
             current = self._attempt(name, payload, kind, block, trace)
         return RetryTicket(self, name, payload, kind, block, index, current, trace)
 
     def _attempt(self, name: str, payload: np.ndarray, kind: str,
                  block: bool, trace: Any) -> Any:
-        """One cluster submission; passes ``trace=`` only when a context
-        exists so duck-typed stub clusters keep their bare signature.
-        Block submits fan out per part and carry no trace (the cluster's
-        own tracer still covers their routing)."""
-        if block:
-            return self.cluster.submit_block(name, payload, kind)
-        if trace is not None:
-            return self.cluster.submit(name, payload, kind, trace=trace)
-        return self.cluster.submit(name, payload, kind)
+        """One submission to the wrapped backend; an untraced request
+        reaches it as a bare ``submit(name, row, kind)``, so the wrapped
+        backend makes the sampling decision itself."""
+        submit = self.wrapped.submit_block if block else self.wrapped.submit
+        if trace is None:
+            return submit(name, payload, kind)
+        return submit(name, payload, kind, trace=trace)
 
     def _shard_ids_of(self, ticket: Any) -> list[int]:
         sid = getattr(ticket, "shard_id", None)
@@ -443,14 +444,14 @@ class RetryController:
         # without changing any retry trajectory (the stream is still a
         # pure function of (seed, index))
         rng: np.random.Generator | None = None
-        hash_routed = getattr(self.cluster, "route", "hash") == "hash"
+        hash_routed = self.wrapped.route == "hash"
         attempt = 0
         while True:
             if current is not None:
                 ticket, current = current, None
             else:
                 if hash_routed:
-                    self._gate(self.cluster.shard_of(name), deadline)
+                    self._gate(self.wrapped.shard_of(name), deadline)
                 ticket = self._attempt(name, payload, kind, block, trace)
             remaining = deadline - self._clock()
             try:
@@ -468,6 +469,10 @@ class RetryController:
                     with self._lock:
                         self.exhausted += 1
                     raise
+                if trace is None:
+                    # adopt the context the wrapped backend sampled for
+                    # this attempt: the retries join its trace
+                    trace = getattr(ticket, "trace", None)
                 if rng is None:
                     rng = np.random.default_rng((self.seed, index))
                 delay = self.backoff_delay(attempt, rng)

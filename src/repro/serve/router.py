@@ -17,25 +17,24 @@ The gateway adds no scoring path of its own — every numeric guarantee of
 the single-model stack (bit-identical micro-batching, version-keyed
 caching, promote/rollback at batch boundaries) holds per name, unchanged.
 
-**Monitoring taps** (:meth:`ServingGateway.add_tap`) observe that path
-without joining it: a tap's ``on_request(name, row, kind)`` fires per
-submission and ``on_result(name, kind, block, value)`` per scored ticket
-(cache hits skip scoring, so they are request-observed only).  Taps are
-purely observational — a raising tap is swallowed and counted in
-``tap_errors``, never failing, delaying a flush of, or altering a request
-— which is what lets the online monitoring plane
+The gateway is a :class:`~repro.serve.backend.Backend` and a
+:class:`~repro.serve.backend.TapHost`: a tap's ``on_request`` fires per
+submission and ``on_result`` per scored ticket (cache hits skip scoring,
+so they are request-observed only).  A raising tap is swallowed and
+counted, never failing, delaying a flush of, or altering a request —
+which is what lets the online monitoring plane
 (:mod:`repro.serve.monitor`) guarantee monitored serving stays
 bit-identical to unmonitored serving.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 from typing import Any
 
 import numpy as np
 
+from repro.serve.backend import Backend, TapHost
 from repro.serve.batcher import MicroBatcher, Ticket
 from repro.serve.errors import ErrorCode, coded
 from repro.serve.registry import ModelRegistry
@@ -50,7 +49,7 @@ _MUTABLE_KEYS = frozenset({"max_batch", "max_delay"})
 _CONFIG_KEYS = _MUTABLE_KEYS | {"cache_entries", "n_jobs"}
 
 
-class ServingGateway:
+class ServingGateway(TapHost, Backend):
     """Route requests for any registered name to a per-name service.
 
     Parameters
@@ -89,12 +88,9 @@ class ServingGateway:
         tracer: Any = None,
         trace_sample: int = 1,
     ):
-        if trace_sample < 1:
-            raise ValueError("trace_sample must be >= 1")
+        super().__init__()
+        self._init_tracing(tracer, trace_sample)
         self.registry = registry
-        self._tracer = tracer
-        self._trace_sample = int(trace_sample)
-        self._trace_tick = itertools.count()  # atomic under the GIL
         self._defaults: dict[str, Any] = {
             "max_batch": int(max_batch),
             "max_delay": float(max_delay),
@@ -105,21 +101,6 @@ class ServingGateway:
         self._services: dict[str, InferenceService] = {}
         self._lock = threading.Lock()
         self._closed = False
-        # copy-on-write: notify paths read these tuples lock-free on every
-        # request, add_tap/remove_tap replace them under the gateway lock
-        self._taps: tuple[Any, ...] = ()
-        self._request_taps: tuple[Any, ...] = ()  # bound on_request callables
-        self._result_taps: tuple[Any, ...] = ()   # bound on_result callables
-        # swallowed observer exceptions: incremented under a dedicated lock
-        # (request and result paths race here; a bare += loses counts) that
-        # the no-error fast path never touches
-        self._tap_err_lock = threading.Lock()
-        self._tap_errors = 0
-
-    @property
-    def tap_errors(self) -> int:
-        """Observer exceptions swallowed (monitoring accuracy only)."""
-        return self._tap_errors
 
     # ------------------------------------------------------------------ #
     def configure(self, name: str, **overrides: Any) -> None:
@@ -177,66 +158,11 @@ class ServingGateway:
             return svc
 
     # ------------------------------------------------------------------ #
-    # monitoring taps (observe the scoring path without joining it)
-    # ------------------------------------------------------------------ #
-    def add_tap(self, tap: Any) -> None:
-        """Register a monitoring tap.
-
-        ``tap.on_request(name, row, kind)`` fires after each successful
-        submission; ``tap.on_result(name, kind, block, value)`` after each
-        scored ticket (``block`` is the (m, d) request block, ``value``
-        the exact object handed to the client).  Either method may be
-        absent.  Taps observe, never participate: exceptions are swallowed
-        (counted in ``tap_errors``) and the serving numbers are identical
-        with or without taps attached.
-        """
-        with self._lock:
-            self._taps = (*self._taps, tap)
-            self._rebuild_tap_views()
-
-    def remove_tap(self, tap: Any) -> None:
-        """Deregister a tap (no-op when absent)."""
-        with self._lock:
-            self._taps = tuple(t for t in self._taps if t is not tap)
-            self._rebuild_tap_views()
-
-    def _rebuild_tap_views(self) -> None:
-        # pre-bound callables so the per-request dispatch is one tuple
-        # iteration — no lock, no list copy, no getattr on the hot path.
-        # A tap may declare wants_results() False (a drift-only monitor
-        # with no EU/shadow consumers) to skip the per-ticket result
-        # dispatch entirely; taps that change their mind re-attach
-        # (MonitoringPlane does this automatically).
-        self._request_taps = tuple(
-            fn for t in self._taps if (fn := getattr(t, "on_request", None)) is not None
-        )
-        self._result_taps = tuple(
-            fn for t in self._taps
-            if (fn := getattr(t, "on_result", None)) is not None
-            and ((w := getattr(t, "wants_results", None)) is None or w())
-        )
-
-    def _notify_request(self, name: str, row: np.ndarray, kind: str) -> None:
-        for fn in self._request_taps:
-            try:
-                fn(name, row, kind)
-            except Exception:
-                with self._tap_err_lock:
-                    self._tap_errors += 1
-
-    def _notify_result(self, name: str, ticket: Ticket, value: Any) -> None:
-        for fn in self._result_taps:
-            try:
-                fn(name, ticket.kind, ticket.block, value)
-            except Exception:
-                with self._tap_err_lock:
-                    self._tap_errors += 1
-
-    # ------------------------------------------------------------------ #
     def submit(
-        self, name: str, row: np.ndarray, kind: str = "predict", trace: Any = None
+        self, name: str, row: np.ndarray, kind: str = "predict", *, trace: Any = None
     ) -> Ticket | CompletedTicket:
-        """Enqueue one request for ``name``; returns its ticket.
+        """Enqueue one request (or one (m, d) block) for ``name``; returns
+        its ticket.
 
         ``trace`` adopts an inbound
         :class:`~repro.serve.obs.trace.TraceContext` (the net edge's);
@@ -244,10 +170,8 @@ class ServingGateway:
         born here — the in-process entry point of the stack — for every
         ``trace_sample``-th submission.
         """
-        if trace is None and self._tracer is not None and (
-            next(self._trace_tick) % self._trace_sample == 0
-        ):
-            trace = self._tracer.start_trace()
+        if trace is None and self._tracer is not None:
+            trace = self._sampled_trace()
         if trace is not None:
             t0 = trace.now()
             ticket = self.service(name).submit(row, kind=kind, trace=trace)
@@ -264,12 +188,6 @@ class ServingGateway:
                 name, block if block is not None else np.array(row, dtype=float), kind
             )
         return ticket
-
-    def predict(self, name: str, row: np.ndarray, timeout: float | None = None) -> Any:
-        return self.submit(name, row).result(timeout)
-
-    def predict_dist(self, name: str, row: np.ndarray, timeout: float | None = None) -> Any:
-        return self.submit(name, row, kind="predict_dist").result(timeout)
 
     def flush(self, name: str | None = None) -> int:
         """Force-score pending requests for one name (or every name).
@@ -306,13 +224,6 @@ class ServingGateway:
             tap_errors=self._tap_errors,
         )
 
-    def trace_spans(self, trace_id: str | None = None) -> dict[str, Any]:
-        """This gateway's recorded spans (the tracer's JSON-safe export);
-        empty when no tracer is configured."""
-        if self._tracer is None:
-            return {"spans": [], "dropped": {}, "recorded": {}}
-        return self._tracer.export(trace_id)
-
     # ------------------------------------------------------------------ #
     def close(self) -> None:
         """Flush and close every service; idempotent.  The registry stays
@@ -320,29 +231,14 @@ class ServingGateway:
 
         Safe to call any number of times, from ``__del__``, or from an
         :mod:`atexit` hook: a partially-constructed gateway (an
-        ``__init__`` that raised before the lock existed) is a no-op, and
-        a second close never re-tears-down the services."""
-        lock = getattr(self, "_lock", None)
-        if lock is None:
+        ``__init__`` that raised before it opened) is a no-op, and a
+        second close never re-tears-down the services."""
+        if self._closed:
             return
-        with lock:
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
             services = list(self._services.values())
         for svc in services:
             svc.close()
-
-    def __enter__(self) -> "ServingGateway":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        # interpreter teardown may have dismantled half the world already;
-        # best-effort only, and double-close is already a no-op
-        try:
-            self.close()
-        except BaseException:
-            pass

@@ -61,8 +61,9 @@ from typing import Any
 
 import numpy as np
 
+from repro.serve.backend import Backend, TapHost, as_block, empty_export, merge_export
 from repro.serve.batcher import _private_exception
-from repro.serve.errors import ErrorCode, coded, ensure_code
+from repro.serve.errors import ErrorCode, coded
 from repro.serve.registry import ModelRegistry
 from repro.serve.router import ServingGateway
 from repro.serve.stats import ClusterStats
@@ -270,10 +271,7 @@ def _worker_main(
                 if tracer is not None and tid is not None:
                     ctx = tracer.context(tid)
                 try:
-                    if ctx is not None:
-                        ticket = gateway.submit(name, row, kind=kind, trace=ctx)
-                    else:
-                        ticket = gateway.submit(name, row, kind=kind)
+                    ticket = gateway.submit(name, row, kind, trace=ctx)
                 except BaseException as exc:
                     send(("err", req_id, _picklable_exception(exc)))
                 else:
@@ -301,11 +299,8 @@ def _worker_main(
                 # traces by id; JSON-safe, so it rides any transport
                 _, req_id, tid = msg
                 try:
-                    payload = (
-                        tracer.export(tid) if tracer is not None
-                        else {"spans": [], "dropped": {}, "recorded": {}}
-                    )
-                    send(("ok", req_id, payload))
+                    send(("ok", req_id, tracer.export(tid) if tracer is not None
+                          else empty_export()))
                 except BaseException as exc:
                     send(("err", req_id, _picklable_exception(exc)))
             else:
@@ -395,7 +390,7 @@ class _ShardHandle:
         self.reader: threading.Thread | None = None
 
 
-class ShardedServingCluster:
+class ShardedServingCluster(TapHost, Backend):
     """Serve one registry from ``n_shards`` gateway worker processes.
 
     Parameters
@@ -454,6 +449,15 @@ class ShardedServingCluster:
         Auto-born traces sample 1-in-``trace_sample`` submissions
         (deterministic stride, the monitor plane's ``sample`` dial);
         inbound ``trace=`` contexts are always honoured, never sampled.
+
+    The cluster is a :class:`~repro.serve.backend.Backend` and a
+    request-side :class:`~repro.serve.backend.TapHost`: every row crosses
+    the parent, so a parent-side monitoring plane profiles the whole
+    stream no matter which shard scores it.  Result-side taps need the
+    scored values and live on the in-process
+    :class:`~repro.serve.router.ServingGateway`; policy actions taken
+    here (promote/rollback via the parent registry) still propagate
+    cluster-wide through the ack-gated broadcast machinery.
     """
 
     def __init__(
@@ -475,8 +479,6 @@ class ShardedServingCluster:
     ):
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if trace_sample < 1:
-            raise ValueError("trace_sample must be >= 1")
         if route not in _ROUTES:
             raise ValueError(f"route must be one of {_ROUTES}, got {route!r}")
         if transport not in _TRANSPORTS:
@@ -492,9 +494,8 @@ class ShardedServingCluster:
         self._steal_lock = threading.Lock()
         self._steals = 0
         self.request_timeout = float(request_timeout)
-        self._tracer = tracer
-        self._trace_sample = int(trace_sample)
-        self._trace_tick = itertools.count()  # atomic under the GIL
+        super().__init__()
+        self._init_tracing(tracer, trace_sample)
         # workers rebuild their own tracer from the ring size alone (a
         # Tracer holds locks and a clock — it must not cross the pickle)
         self._trace_rings = int(getattr(tracer, "ring_size", 0)) if tracer else 0
@@ -509,15 +510,7 @@ class ShardedServingCluster:
             start_method = "fork" if "fork" in methods else "spawn"
         self._ctx = multiprocessing.get_context(start_method)
         self._lock = threading.Lock()  # serializes broadcasts and close
-        self._closed = False
         self._rr = itertools.count()
-        # copy-on-write, like the gateway's: submit reads lock-free
-        self._taps: tuple[Any, ...] = ()
-        self._request_taps: tuple[Any, ...] = ()
-        # same dedicated counter lock as the gateway's: concurrent
-        # submitters racing a bare += here would lose increments
-        self._tap_err_lock = threading.Lock()
-        self._tap_errors = 0
         # one snapshot serialization per registry state — the models
         # dominate the bytes and are identical for every worker, so the
         # initial fleet, a K-shard respawn wave, and a scale-up burst all
@@ -528,6 +521,7 @@ class ShardedServingCluster:
         self._shards: list[_ShardHandle] = [
             self._spawn(i, snapshot_bytes) for i in range(n_shards)
         ]
+        self._closed = False
         registry.add_listener(self._on_stage_change)
 
     # ------------------------------------------------------------------ #
@@ -712,9 +706,10 @@ class ShardedServingCluster:
             handle.reader.join(timeout=timeout)
 
     def kill_shard(self, shard_id: int) -> None:
-        """Hard-kill one worker (chaos hook for crash-path tests).  The
-        reader notices EOF, fails the shard's pending tickets, and marks
-        it dead; :meth:`respawn` brings a replacement up."""
+        """Hard-kill one worker process — the crash the resilience plane
+        recovers from (the chaos harness and the e2e storm drive it).
+        The reader notices EOF, fails the shard's pending tickets, and
+        marks it dead; :meth:`respawn` brings a replacement up."""
         handle = self._shards[shard_id]
         handle.process.kill()
         handle.process.join(timeout=5.0)
@@ -787,25 +782,19 @@ class ShardedServingCluster:
                     return handle
         return None
 
-    def _no_live_shard_ticket(self) -> ClusterTicket:
-        ticket = ClusterTicket(-1)
-        ticket._complete(None, coded(
-            ShardCrashedError("no live shard available (call respawn())"),
-            ErrorCode.SHARD_CRASHED,
-        ))
+    @staticmethod
+    def _crashed_ticket(shard_id: int, message: str, trace: Any = None) -> ClusterTicket:
+        # keeps the request's trace: a retry of it joins the same trace
+        ticket = ClusterTicket(shard_id)
+        ticket.trace = trace
+        ticket._complete(None, ShardCrashedError(message))
         return ticket
 
     def _send_request(
         self, handle: _ShardHandle, op: str, *args: Any, trace: Any = None
     ) -> ClusterTicket:
-        ticket = self._try_send(handle, op, *args, trace=trace)
-        if ticket is not None:
-            return ticket
-        ticket = ClusterTicket(handle.shard_id)
-        ticket._complete(None, coded(ShardCrashedError(
-            f"shard {handle.shard_id} is down (call respawn())"
-        ), ErrorCode.SHARD_CRASHED))
-        return ticket
+        return self._try_send(handle, op, *args, trace=trace) or self._crashed_ticket(
+            handle.shard_id, f"shard {handle.shard_id} is down (call respawn())", trace)
 
     def _try_send(
         self, handle: _ShardHandle, op: str, *args: Any, trace: Any = None
@@ -851,61 +840,15 @@ class ShardedServingCluster:
         while True:
             handle = self._pick_shard(tried)
             if handle is None:
-                return self._no_live_shard_ticket()
+                return self._crashed_ticket(
+                    -1, "no live shard available (call respawn())", trace)
             ticket = self._try_send(handle, "submit", *args, trace=trace)
             if ticket is not None:
                 return ticket
             tried.add(handle.shard_id)
 
-    # ------------------------------------------------------------------ #
-    # monitoring taps (parent-side: the front door sees every request)
-    # ------------------------------------------------------------------ #
-    def add_tap(self, tap: Any) -> None:
-        """Register a request-side monitoring tap.
-
-        ``tap.on_request(name, row, kind)`` fires per submission at the
-        cluster front door — every row crosses the parent, so a
-        parent-side monitoring plane profiles the whole stream no matter
-        which shard scores it.  Result-side taps (``on_result``) need the
-        scored values and live on the in-process
-        :class:`~repro.serve.router.ServingGateway`; policy actions taken
-        here (promote/rollback via the parent registry) still propagate
-        cluster-wide through the ack-gated broadcast machinery.  Same
-        contract as the gateway's taps: observational only, exceptions
-        swallowed and counted in ``tap_errors``.
-        """
-        with self._lock:
-            self._taps = (*self._taps, tap)
-            self._rebuild_tap_views()
-
-    def remove_tap(self, tap: Any) -> None:
-        """Deregister a tap (no-op when absent)."""
-        with self._lock:
-            self._taps = tuple(t for t in self._taps if t is not tap)
-            self._rebuild_tap_views()
-
-    def _rebuild_tap_views(self) -> None:
-        # pre-bound callables, same copy-on-write shape as the gateway's
-        self._request_taps = tuple(
-            fn for t in self._taps
-            if (fn := getattr(t, "on_request", None)) is not None
-        )
-
-    @property
-    def tap_errors(self) -> int:
-        """Observer exceptions swallowed (monitoring accuracy only)."""
-        return self._tap_errors
-
-    def _notify_request(self, name: str, row: np.ndarray, kind: str) -> None:
-        for fn in self._request_taps:
-            try:
-                fn(name, row, kind)
-            except Exception:
-                with self._tap_err_lock:
-                    self._tap_errors += 1
-
     def submit(
-        self, name: str, row: np.ndarray, kind: str = "predict", trace: Any = None
+        self, name: str, row: np.ndarray, kind: str = "predict", *, trace: Any = None
     ) -> ClusterTicket:
         """Route one request; returns a ticket whose ``result()`` blocks.
 
@@ -916,10 +859,8 @@ class ShardedServingCluster:
         a ``tracer`` configured, the trace is born here for every
         ``trace_sample``-th submission."""
         arr = np.asarray(row, dtype=float)
-        if trace is None and self._tracer is not None and (
-            next(self._trace_tick) % self._trace_sample == 0
-        ):
-            trace = self._tracer.start_trace()
+        if trace is None and self._tracer is not None:
+            trace = self._sampled_trace()
         t0 = trace.now() if trace is not None else 0.0
         if self.route == "hash":
             # pin one routing-table snapshot: a concurrent scale_to swaps
@@ -957,47 +898,37 @@ class ShardedServingCluster:
             self._notify_request(name, np.array(arr), kind)
         return ticket
 
-    def submit_block(self, name: str, X: np.ndarray, kind: str = "predict"):
+    def submit_block(
+        self, name: str, X: np.ndarray, kind: str = "predict", *, trace: Any = None
+    ):
         """Submit a whole (m, d) block.
 
         Under ``"replicated"`` routing the rows split across every live
         shard and score in parallel processes; the composite ticket
-        reassembles them in order.  Under ``"hash"`` routing the block
-        rides to the name's owner whole (one shard, one batch)."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2:
-            raise coded(ValueError(f"block must be 2-D, got ndim={X.ndim}"),
-                        ErrorCode.MALFORMED_REQUEST)
+        reassembles them in order (a traced block traces every part).
+        Under ``"hash"`` routing the block rides to the name's owner
+        whole (one shard, one batch)."""
+        X = as_block(X)
         if self.route == "hash":
-            return self.submit(name, X, kind)
+            return self.submit(name, X, kind, trace=trace)
+        if trace is None and self._tracer is not None:
+            trace = self._sampled_trace()
         n_live = len(self.live_shards())
         n_parts = max(1, min(max(1, n_live), X.shape[0]))
         # each part routes through the dead-shard-absorbing path: a worker
         # that dies between the live count and the send just means its
         # chunk lands on a surviving replica instead of erroring the block
         parts = [
-            self._submit_replicated(name, chunk, kind)
+            self._submit_replicated(name, chunk, kind, trace=trace)
             for chunk in np.array_split(X, n_parts)
         ]
         if self._request_taps:
             self._notify_request(name, np.array(X), kind)  # one private-copy observation
         return _BlockTicket(parts, kind)
 
-    def predict(self, name: str, row: np.ndarray, timeout: float | None = None) -> Any:
-        return self.submit(name, row).result(timeout)
-
-    def predict_dist(self, name: str, row: np.ndarray, timeout: float | None = None) -> Any:
-        return self.submit(name, row, kind="predict_dist").result(timeout)
-
-    def predict_block(self, name: str, X: np.ndarray, timeout: float | None = None) -> Any:
-        return self.submit_block(name, X).result(timeout)
-
     def flush(self, name: str | None = None) -> int:
         """Force-score pending requests on every live shard."""
-        tickets = [
-            self._send_request(h, "flush", name) for h in self._shards if h.alive
-        ]
-        return sum(self._gather(tickets))
+        return sum(self._fanout("flush", name).values())
 
     # ------------------------------------------------------------------ #
     # registry mutations (broadcast)
@@ -1053,8 +984,12 @@ class ShardedServingCluster:
         self._gather(tickets)
 
     def _gather(self, tickets: list[ClusterTicket]) -> list[Any]:
-        """Results of a fan-out, tolerating shards that died or wedged
-        mid-call.
+        """Values of a fan-out's tickets that answered (see :meth:`_settle`)."""
+        return [value for _, value in self._settle(list(enumerate(tickets)))]
+
+    def _settle(self, pairs: list[tuple[Any, ClusterTicket]]) -> list[tuple[Any, Any]]:
+        """``(key, value)`` for each ``(key, ticket)`` that answered,
+        tolerating shards that died or wedged mid-call.
 
         One ``request_timeout`` budget is shared across the *whole*
         fan-out — each ticket waits only the remaining budget, so a kill
@@ -1064,37 +999,29 @@ class ShardedServingCluster:
         pass decides its fate) rather than stalling or failing the
         surviving shards' results."""
         deadline = time.monotonic() + self.request_timeout
-        values = []
-        for ticket in tickets:
+        out = []
+        for key, ticket in pairs:
             remaining = max(deadline - time.monotonic(), 1e-9)
             try:
-                values.append(ticket.result(timeout=remaining))
-            except ShardCrashedError:
-                continue  # the reader marked it dead; respawn() recovers
-            except TimeoutError:
-                continue  # wedged shard: don't dam the rest of the fan-out
-        return values
+                out.append((key, ticket.result(timeout=remaining)))
+            except (ShardCrashedError, TimeoutError):
+                continue  # dead (respawn() recovers) or wedged: don't dam the rest
+        return out
+
+    def _fanout(self, op: str, *args: Any) -> dict[int, Any]:
+        """Send ``op`` to every live shard; the answers by shard id (dead
+        or wedged shards are simply absent)."""
+        return dict(self._settle([
+            (h.shard_id, self._send_request(h, op, *args))
+            for h in self._shards if h.alive
+        ]))
 
     # ------------------------------------------------------------------ #
     def stats(self) -> ClusterStats:
         """Per-shard :class:`GatewayStats` snapshots (dead shards absent),
         rolled up by :class:`~repro.serve.stats.ClusterStats`."""
-        pairs = [
-            (h.shard_id, self._send_request(h, "stats"))
-            for h in self._shards if h.alive
-        ]
-        # one shared deadline across the fan-out, same contract as _gather:
-        # a fleet of wedged shards costs one request_timeout, not n of them
-        deadline = time.monotonic() + self.request_timeout
-        per_shard = {}
-        for shard_id, ticket in pairs:
-            remaining = max(deadline - time.monotonic(), 1e-9)
-            try:
-                per_shard[shard_id] = ticket.result(timeout=remaining)
-            except (ShardCrashedError, TimeoutError):
-                continue
-        return ClusterStats(per_shard=per_shard, tap_errors=self._tap_errors,
-                            steals=self._steals)
+        return ClusterStats(per_shard=self._fanout("stats"),
+                            tap_errors=self._tap_errors, steals=self._steals)
 
     def trace_spans(self, trace_id: str | None = None) -> dict[str, Any]:
         """Reassemble a cross-process trace (or dump everything recorded).
@@ -1105,25 +1032,9 @@ class ShardedServingCluster:
         different processes share the trace id, drop/recorded counters
         sum per component.  Dead or wedged shards are simply absent —
         their rings died with them."""
-        if self._tracer is not None:
-            out = self._tracer.export(trace_id)
-        else:
-            out = {"spans": [], "dropped": {}, "recorded": {}}
-        pairs = [
-            (h.shard_id, self._send_request(h, "obs", trace_id))
-            for h in self._shards if h.alive
-        ]
-        deadline = time.monotonic() + self.request_timeout
-        for shard_id, ticket in pairs:
-            remaining = max(deadline - time.monotonic(), 1e-9)
-            try:
-                worker = ticket.result(timeout=remaining)
-            except (ShardCrashedError, TimeoutError):
-                continue
-            out["spans"].extend(worker["spans"])
-            for key in ("dropped", "recorded"):
-                for comp, n in worker[key].items():
-                    out[key][comp] = out[key].get(comp, 0) + n
+        out = super().trace_spans(trace_id)
+        for worker in self._fanout("obs", trace_id).values():
+            merge_export(out, worker)
         return out
 
     # ------------------------------------------------------------------ #
@@ -1134,14 +1045,13 @@ class ShardedServingCluster:
         gateway ``close`` completes everything), so responses already on
         the wire still land; anything left after the timeout is killed.
         """
-        shards = getattr(self, "_shards", None)
-        lock = getattr(self, "_lock", None)
-        if shards is None or lock is None:
-            return  # __init__ never got far enough to own workers
-        with lock:
+        if self._closed:
+            return  # already closed, or __init__ never got to own workers
+        with self._lock:
             if self._closed:
                 return
             self._closed = True
+            shards = self._shards
         try:
             self.registry.remove_listener(self._on_stage_change)
         except Exception:
@@ -1162,15 +1072,3 @@ class ShardedServingCluster:
             handle.transport.close()
             if handle.reader is not None:
                 handle.reader.join(timeout=max(0.1, deadline - time.monotonic()))
-
-    def __enter__(self) -> "ShardedServingCluster":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except BaseException:
-            pass
