@@ -5,7 +5,16 @@ Times the two hot paths the perf layer replaced:
 * **forest predict** — 200-tree packed-arena evaluation vs. the per-tree
   ``tree.predict`` loop on 20k rows (target: ≥ 3× and bit-identical), and
 * **GBM fit** — histogram-subtraction vs. direct-histogram training at
-  depth ≥ 8 (target: ≥ 1.3×, same tree structures).
+  depth ≥ 8 (target: ≥ 1.3×, same tree structures),
+
+and the call the serving micro-batcher makes:
+
+* **serving predict** — per-call ``predict_many`` over ``m`` single-row
+  blocks on registered models shaped like the e2e benchmark's (GBM
+  150 trees × depth 6, forest 100 × depth 10, 87 features, 2000 training
+  rows), at the flush sizes the cluster sees (1, 8, 64) and a large one
+  (1024).  Small flushes are dominated by per-call fixed cost, which a
+  20k-row figure cannot show.
 
 Each run appends one entry to ``benchmarks/results/BENCH_kernels.json`` so
 future PRs can track kernel regressions as a trajectory, and writes the
@@ -26,6 +35,7 @@ from repro.cli import record_trajectory_entry
 from repro.ml.binning import QuantileBinner
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.gbm import GradientBoostingRegressor
+from repro.serve.registry import ModelRegistry
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -36,6 +46,10 @@ GBM_ROWS = 20_000
 GBM_DEPTH = 8
 GBM_TREES = 20
 N_FEATURES = 20
+SERVING_FEATURES = 87  # the e2e benchmark's POSIX feature set width
+SERVING_TRAIN = 2_000
+SERVING_SIZES = (1, 8, 64, 1024)
+SERVING_SECONDS = 0.5  # timed budget per (model, size)
 
 
 def _timed(fn, reps=3):
@@ -120,14 +134,50 @@ def bench_gbm_fit() -> dict:
     }
 
 
+def bench_serving_predict() -> dict:
+    """Per-call ``predict_many`` at serving flush sizes, e2e-shaped models.
+
+    Models go through ``ModelRegistry.register`` (pack pre-warm, arrays
+    frozen) exactly as a served version does; the timed call is the one
+    ``MicroBatcher`` makes for a flush of ``m`` single-row requests.  The
+    median per-call time over ``SERVING_SECONDS`` of calls is reported.
+    """
+    X, y = _synth(SERVING_TRAIN, SERVING_FEATURES, seed=2)
+    pool, _ = _synth(4096, SERVING_FEATURES, seed=98)
+    registry = ModelRegistry()
+    fitted = {
+        "gbm": GradientBoostingRegressor(n_estimators=150, max_depth=6).fit(X, y),
+        "forest": RandomForestRegressor(n_estimators=100, max_depth=10).fit(X, y),
+    }
+    out: dict = {"n_features": SERVING_FEATURES, "n_train": SERVING_TRAIN}
+    for kind, model in fitted.items():
+        registry.register(kind, model)
+        per_size = {}
+        for m in SERVING_SIZES:
+            calls = []
+            start = 0
+            t_end = time.perf_counter() + SERVING_SECONDS
+            while time.perf_counter() < t_end or len(calls) < 5:
+                blocks = [pool[(start + i) % pool.shape[0]][None, :] for i in range(m)]
+                t0 = time.perf_counter()
+                model.predict_many(blocks)
+                calls.append(time.perf_counter() - t0)
+                start += m
+            us = float(np.median(calls)) * 1e6
+            per_size[str(m)] = {"us_per_call": round(us, 1), "rows_per_s": round(m / us * 1e6)}
+        out[kind] = per_size
+    return out
+
+
 def run() -> dict:
     entry = {
         "forest_predict": bench_forest_predict(),
         "gbm_fit": bench_gbm_fit(),
+        "serving_predict": bench_serving_predict(),
     }
     record_trajectory_entry(entry, RESULTS_DIR, filename="BENCH_kernels.json")
 
-    fp, gf = entry["forest_predict"], entry["gbm_fit"]
+    fp, gf, sp = entry["forest_predict"], entry["gbm_fit"], entry["serving_predict"]
     table = "\n".join(
         [
             "PERF KERNELS (packed vs. looped / subtraction vs. full)",
@@ -135,6 +185,11 @@ def run() -> dict:
             f"{fp['looped_s']:.3f}s -> {fp['packed_s']:.3f}s ({fp['speedup']:.2f}x)",
             f"gbm fit depth {gf['max_depth']} x {gf['n_estimators']} trees: "
             f"{gf['full_hist_s']:.3f}s -> {gf['subtraction_s']:.3f}s ({gf['speedup']:.2f}x)",
+            "serving predict_many, rows/s at " + "/".join(map(str, SERVING_SIZES)) + " rows:",
+            *(
+                f"  {kind}: " + " / ".join(f"{sp[kind][str(m)]['rows_per_s']:,}" for m in SERVING_SIZES)
+                for kind in ("gbm", "forest")
+            ),
         ]
     )
     print("\n" + table)

@@ -36,7 +36,17 @@ from collections import OrderedDict
 
 import numpy as np
 
-__all__ = ["QuantileBinner", "frozen_copy"]
+__all__ = ["SMALL_BLOCK_ROWS", "QuantileBinner", "frozen_copy"]
+
+#: Largest block binned by the padded-edge compare instead of the
+#: per-column loop.  The compare does ``n·d·max_edges`` work in five NumPy
+#: calls, the loop ``n·d·log(edges)`` work in ``2·d`` calls.  On the e2e
+#: benchmark's 87-column features (edges per column: max 63, mean 35) the
+#: compare took 13 µs against 167 µs at 1 row and 357 against 471 µs at 64
+#: rows; the two tied at 128 rows and the loop won from 256 rows on
+#: (1.1 ms against 1.4 ms).  Serving flushes of single-row requests fall
+#: below the crossover, large ``predict`` calls above it.
+SMALL_BLOCK_ROWS = 64
 
 
 def frozen_copy(X: np.ndarray) -> np.ndarray:
@@ -112,6 +122,10 @@ class QuantileBinner:
     out-of-range values degrade gracefully.
     """
 
+    #: ``(edges_, padded (max_edges, d) table, per-column NaN codes)`` once
+    #: :meth:`prepare` ran; a class default so older pickles load without it
+    _lookup: tuple | None = None
+
     def __init__(self, n_bins: int = 64):
         if not 2 <= n_bins <= 255:
             raise ValueError("n_bins must be in [2, 255]")
@@ -151,14 +165,41 @@ class QuantileBinner:
             hit = _cache_get(_code_cache, (id(X), id(self.edges_)), X)
             if hit is not None and hit[2] is self.edges_:
                 return hit[3]
-        codes = np.empty(X.shape, dtype=np.uint8)
-        for f, edges in enumerate(self.edges_):
-            codes[:, f] = np.searchsorted(edges, X[:, f], side="left")
+        lookup = self._lookup
+        if X.shape[0] <= SMALL_BLOCK_ROWS and lookup is not None and lookup[0] is self.edges_:
+            _, padded, nan_codes = lookup
+            # count of edges strictly below x == searchsorted(side="left");
+            # +inf padding is never below anything, and NaN compares below
+            # nothing, so NaN takes the code searchsorted gives it
+            codes = (X[:, None, :] > padded).sum(axis=1, dtype=np.uint8)
+            codes = np.where(np.isnan(X), nan_codes, codes)
+        else:
+            codes = np.empty(X.shape, dtype=np.uint8)
+            for f, edges in enumerate(self.edges_):
+                codes[:, f] = np.searchsorted(edges, X[:, f], side="left")
         if cacheable:
             # shared across cache hits → hand out read-only
             codes.setflags(write=False)
             _cache_put(_code_cache, (id(X), id(self.edges_)), X, (self.edges_, codes))
         return codes
+
+    def prepare(self) -> None:
+        """Build the small-block lookup for the fitted edges; idempotent.
+
+        Called from the estimators' pack pre-warm, never lazily from
+        ``transform``: a registered model's lookup exists before
+        ``register`` freezes it, so concurrent flushes only read it.  The
+        lookup is keyed on the ``edges_`` object, so a refit can never
+        score with a stale table.
+        """
+        edges = self.edges_
+        if edges is None or (self._lookup is not None and self._lookup[0] is edges):
+            return
+        padded = np.full((max((len(e) for e in edges), default=0), len(edges)), np.inf)
+        for f, e in enumerate(edges):
+            padded[: len(e), f] = e
+        nan_codes = np.array([np.searchsorted(e, np.nan) for e in edges], dtype=np.uint8)
+        self._lookup = (edges, padded, nan_codes)
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)

@@ -67,6 +67,13 @@ def _fit_one_tree(
     return tree, mask, bag_bits
 
 
+def _tree_mean(mat: np.ndarray) -> np.ndarray:
+    """``mat.mean(axis=0)`` bit for bit — NumPy's mean is exactly this
+    ``add.reduce`` divided by the count — without ``mean``'s Python-level
+    overhead, which ``predict_many`` pays once per request block."""
+    return np.add.reduce(mat, axis=0) / mat.shape[0]
+
+
 class RandomForestRegressor(BaseEstimator):
     """Bagged binned regression trees with per-tree feature subsampling.
 
@@ -136,6 +143,8 @@ class RandomForestRegressor(BaseEstimator):
 
     def _ensure_pack(self) -> PackedForest:
         self._pack = ensure_pack(self._pack, self.trees_)
+        if self.binner_ is not None:
+            self.binner_.prepare()  # small-block lookup, frozen with the arena
         return self._pack
 
     # ------------------------------------------------------------------ #
@@ -211,16 +220,16 @@ class RandomForestRegressor(BaseEstimator):
         """(n_trees, n_samples) per-tree predictions (packed evaluation)."""
         if self.binner_ is None or not self.trees_:
             raise RuntimeError("predict called before fit")
-        codes = self.binner_.transform(np.asarray(X, dtype=float))
-        return self._ensure_pack().predict_matrix(codes)
+        pack = self._ensure_pack()
+        return pack.predict_matrix(self.binner_.transform(np.asarray(X, dtype=float)))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self._tree_matrix(X).mean(axis=0)
+        return _tree_mean(self._tree_matrix(X))
 
     def predict_dist(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(mean, across-tree variance) — tree disagreement as a UQ signal."""
         mat = self._tree_matrix(X)
-        return mat.mean(axis=0), mat.var(axis=0)
+        return _tree_mean(mat), mat.var(axis=0)
 
     def _tree_matrix_many(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
         """Per-block (n_trees, m) matrices from one transform + arena pass."""
@@ -234,13 +243,13 @@ class RandomForestRegressor(BaseEstimator):
         to ``predict(block)`` — the contract the serving micro-batcher
         relies on.
         """
-        return [m.mean(axis=0) for m in self._tree_matrix_many(blocks)]
+        return [_tree_mean(m) for m in self._tree_matrix_many(blocks)]
 
     def predict_dist_many(
         self, blocks: list[np.ndarray]
     ) -> list[tuple[np.ndarray, np.ndarray]]:
         """Batched :meth:`predict_dist`, one arena pass for all blocks."""
-        return [(m.mean(axis=0), m.var(axis=0)) for m in self._tree_matrix_many(blocks)]
+        return [(_tree_mean(m), m.var(axis=0)) for m in self._tree_matrix_many(blocks)]
 
     def truncated(self, n_trees: int) -> "RandomForestRegressor":
         """A view keeping only the first ``n_trees`` members.

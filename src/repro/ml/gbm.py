@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import BaseEstimator, clone
-from repro.ml.binning import QuantileBinner
+from repro.ml.binning import SMALL_BLOCK_ROWS, QuantileBinner
 from repro.ml.predictor import CHUNK_PAIRS, PackedForest, concat_apply_split, ensure_pack
 from repro.ml.tree import BinnedTree
 from repro.parallel.pool import parallel_map
@@ -101,8 +101,11 @@ class GradientBoostingRegressor(BaseEstimator):
         self._pack: PackedForest | None = None
 
     def _ensure_pack(self) -> PackedForest:
-        """Build (or rebuild after truncation) the flat prediction arena."""
+        """Build (or rebuild after truncation) the flat prediction arena,
+        and the binner's small-block lookup with it."""
         self._pack = ensure_pack(self._pack, self.trees_)
+        if self.binner_ is not None:
+            self.binner_.prepare()
         return self._pack
 
     # ------------------------------------------------------------------ #
@@ -203,21 +206,38 @@ class GradientBoostingRegressor(BaseEstimator):
     def predict(self, X: np.ndarray) -> np.ndarray:
         if self.binner_ is None:
             raise RuntimeError("predict called before fit")
+        pack = self._ensure_pack()
         codes = self.binner_.transform(np.asarray(X, dtype=float))
         n = codes.shape[0]
-        pack = self._ensure_pack()
         pred = np.empty(n, dtype=np.float64)
-        # chunk so the transient (n_trees, block) matrix stays small; the
-        # per-tree accumulation order matches the old loop bit-for-bit
+        # chunk so the transient (n_trees, block) matrix stays small
         block = max(1, CHUNK_PAIRS // max(1, len(self.trees_)))
         for s in range(0, n, block):
             e = min(n, s + block)
-            mat = pack.predict_matrix(codes[s:e])
-            p = np.full(e - s, self.base_score_)
-            for row in mat:
-                p += self.learning_rate * row
-            pred[s:e] = p
+            pred[s:e] = self._accumulate(pack.predict_matrix(codes[s:e]))
         return pred
+
+    def _accumulate(self, mat: np.ndarray) -> np.ndarray:
+        """``base + lr·mat[0] + lr·mat[1] + …``, added one tree at a time.
+
+        Small blocks take one ``add.accumulate`` over ``[base; lr·mat]``:
+        accumulate adds strictly in sequence down axis 0 (never pairwise,
+        unlike ``sum``), so its last row equals the per-tree loop bit for
+        bit at a fixed cost of a few calls instead of ``2·n_trees``.  Its
+        strided walk loses above :data:`~repro.ml.binning.SMALL_BLOCK_ROWS`
+        rows (150 trees: 35 µs against 156 µs at 64 rows, 747 µs against
+        418 µs at 1024), so larger blocks keep the loop.
+        """
+        n = mat.shape[1]
+        if n <= SMALL_BLOCK_ROWS:
+            acc = np.empty((mat.shape[0] + 1, n))
+            acc[0] = self.base_score_
+            np.multiply(mat, self.learning_rate, out=acc[1:])
+            return np.add.accumulate(acc, axis=0, out=acc)[-1]
+        p = np.full(n, self.base_score_)
+        for row in mat:
+            p += self.learning_rate * row
+        return p
 
     def predict_many(self, blocks: list[np.ndarray]) -> list[np.ndarray]:
         """Batch-of-batches: predict many small requests in one arena pass.

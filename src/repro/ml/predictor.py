@@ -23,7 +23,11 @@ Three tricks make the inner loop branch-free:
   is needed.  Leaf ``feature`` is rewritten to 0 so the code gather stays in
   bounds.
 * **Flat code gather.**  Codes are transposed once to ``(d, n)`` and indexed
-  as ``codes_flat[feature * n + sample]``, one fused gather per level.
+  as ``codes_flat[feature * n + sample]``, one fused gather per level over
+  an ``(n_trees, n)`` state.  The current nodes' features are gathered and
+  scaled by ``n`` per level, never pre-scaled across the whole arena, so no
+  per-call work grows with the arena size (a one-row call would otherwise
+  pay for every node).
 
 The loop runs exactly ``max_depth`` (the deepest *actual* depth across the
 pack) iterations over an ``(n_trees × n_samples)`` state vector, chunked
@@ -39,6 +43,7 @@ uint8 thresholds, int32 features/children, float64 values.
 
 from __future__ import annotations
 
+import itertools
 from typing import Sequence
 
 import numpy as np
@@ -62,9 +67,13 @@ def concat_apply_split(
     blocks = [np.asarray(b) for b in blocks]
     if not blocks:
         return []
-    sizes = [b.shape[0] for b in blocks]
     stacked = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=0)
-    return np.split(fn(stacked), np.cumsum(sizes)[:-1], axis=axis)
+    out = fn(stacked)
+    lead = (slice(None),) * axis
+    ends = itertools.accumulate(b.shape[0] for b in blocks)
+    # plain slicing: the same views np.split returns, without its
+    # per-piece Python overhead (a third of a 1024-block GBM call)
+    return [out[lead + (slice(e - b.shape[0], e),)] for b, e in zip(blocks, ends)]
 
 
 def ensure_pack(pack: "PackedForest | None", trees: Sequence) -> "PackedForest":
@@ -189,23 +198,21 @@ class PackedForest:
         """Evaluate every tree on one sample block.
 
         ``codes_flat`` is the ravelled ``(d, n)`` transposed code block and
-        ``out`` the ``(n_trees, n)`` destination slice.  The node feature is
-        pre-multiplied by the block length so the per-level code gather is a
-        single take-plus-add; int32 index math is used whenever the flat code
-        array fits (it halves the memory traffic of the hot gathers).
+        ``out`` the ``(n_trees, n)`` destination slice.  Each level gathers
+        the current nodes' features and scales them by the block length,
+        then adds the sample index; int32 index math is used whenever the
+        flat code array fits (it halves the memory traffic of the hot
+        gathers).
         """
-        T = self.n_trees
         idx_dtype = np.int32 if d * n < 2**31 else np.int64
-        feat_base = (self.feature.astype(np.int64) * n).astype(idx_dtype)
-        sample = np.tile(np.arange(n, dtype=idx_dtype), T)
-        cur = np.repeat(self.roots, n)
-        left, thr = self.left, self.threshold
+        sample = np.arange(n, dtype=idx_dtype)
+        # (n_trees, 1) at the roots, broadcast to (n_trees, n) by level one
+        cur = self.roots[:, None]
+        feature, left, thr = self.feature, self.left, self.threshold
         for _ in range(self.max_depth):
-            idx = feat_base.take(cur)
-            idx += sample
-            code = codes_flat.take(idx)
+            code = codes_flat.take(np.multiply(feature.take(cur), n, dtype=idx_dtype) + sample)
             cur = left.take(cur) + (code > thr.take(cur))
-        out[...] = self.value.take(cur).reshape(T, n)
+        out[...] = self.value.take(cur)
 
     def predict_matrix(self, codes: np.ndarray) -> np.ndarray:
         """(n_trees, n_samples) per-tree predictions on binned codes."""

@@ -168,9 +168,12 @@ class RetryTicket:
     """Handle for one resilient request.
 
     The *first* attempt is submitted eagerly (at controller ``submit``
-    time), so wrapped requests coalesce into the same micro-batches as
-    bare ones — the resilience layer must not change batch shapes on the
-    happy path.  Retries run lazily inside :meth:`result`: the calling
+    time) while the shard's breaker is closed, so wrapped requests
+    coalesce into the same micro-batches as bare ones — the resilience
+    layer must not change batch shapes on the happy path.  Behind an open
+    or half-open breaker the first attempt waits for :meth:`result`, so a
+    half-open probe is always taken by the thread that waits on it.
+    Retries run lazily inside :meth:`result`: the calling
     thread does its own waiting (no extra machinery threads), so the
     retry trajectory is deterministic per ticket — the backoff stream is
     seeded by ``(controller seed, submit index)`` and driven by the
@@ -376,11 +379,15 @@ class RetryController(Backend):
         if trace is None and self._tracer is not None:
             trace = self._sampled_trace()
         # eager first attempt: wrapped traffic coalesces into the same
-        # micro-batches as bare traffic (a hash-routed name behind an
-        # un-acquirable breaker defers to result(), which can wait)
+        # micro-batches as bare traffic.  Only through a *closed* breaker,
+        # checked without acquiring: a half-open probe taken here would
+        # report only when this ticket's result() runs, and a FIFO
+        # collector runs it after older tickets that sit in _gate waiting
+        # for that very probe.  Deferred tickets take the probe in
+        # result(), on the thread that waits for its outcome.
         current = None
         if (self.wrapped.route != "hash"
-                or self.breaker(self.wrapped.shard_of(name)).try_acquire()[0]):
+                or self.breaker(self.wrapped.shard_of(name)).state == "closed"):
             current = self._attempt(name, payload, kind, block, trace)
         return RetryTicket(self, name, payload, kind, block, index, current, trace)
 

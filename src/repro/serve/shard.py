@@ -194,12 +194,15 @@ def _worker_main(
     ``transport_spec`` is the picklable half of the channel —
     ``("pipe", conn)`` or ``("socket", (host, port), token)`` — resolved
     by :func:`~repro.serve.transport.make_worker_transport`; everything
-    below it is transport-agnostic.  The main loop only *enqueues* — a
-    submission goes straight into the gateway's micro-batcher and its
-    ticket onto the responder queue, so requests coalesce into batches
-    exactly as they would in-process.  The responder thread completes
-    tickets strictly in arrival order, which is what gives the parent
-    FIFO response semantics per shard.
+    below it is transport-agnostic.  A submission goes straight into the
+    gateway's micro-batcher and its ticket onto the responder queue.  The
+    loop is work-conserving: once a submission leaves the channel empty
+    (``transport.ready()`` is false) it scores everything pending inline
+    with ``gateway.flush()``, so a batch is whatever arrived while the
+    previous flush was scoring, and the batcher's ``max_delay`` deadline
+    is only a backstop here.  The responder thread completes tickets
+    strictly in arrival order, which is what gives the parent FIFO
+    response semantics per shard.
 
     ``trace_rings > 0`` stands up a process-local
     :class:`~repro.serve.obs.trace.Tracer` (a tracer object itself does
@@ -276,6 +279,8 @@ def _worker_main(
                     send(("err", req_id, _picklable_exception(exc)))
                 else:
                     done_q.put((req_id, ticket, ctx))
+                    if not transport.ready():
+                        gateway.flush()
             elif op == "flush":
                 _, req_id, name = msg
                 try:

@@ -9,7 +9,7 @@ be observable and fault-isolated — applies here exactly: this module
 makes the boundary explicit, typed, and swappable.
 
 :class:`Transport` is the interface (``send``/``recv`` framed messages,
-``close``); every failure it raises is one exception type,
+``ready``, ``close``); every failure it raises is one exception type,
 :class:`TransportError`, pre-annotated with the coded vocabulary's
 ``TRANSPORT_ERROR`` (510, critical, retryable) so breakers, the retry
 controller, and the supervisor classify channel failures through the
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import pickle
 import secrets
+import select
 import socket
 import threading
 from typing import Any
@@ -87,11 +88,13 @@ class Transport:
     """Interface: framed messages between the cluster parent and a worker.
 
     ``send(msg)`` ships one picklable tuple; ``recv()`` blocks for the
-    next one.  Both raise :class:`TransportError` on any channel failure —
-    including the peer closing, which deliberately is *not* a separate
-    "clean EOF" path: the caller's reaction (stop the loop, fail pending
-    work) is the same either way.  ``close()`` is idempotent and unblocks
-    a concurrent ``recv``.
+    next one; ``ready()`` says without blocking whether ``recv`` would
+    return (or raise) at once.  ``send`` and ``recv`` raise
+    :class:`TransportError` on any channel failure — including the peer
+    closing, which deliberately is *not* a separate "clean EOF" path: the
+    caller's reaction (stop the loop, fail pending work) is the same
+    either way.  ``close()`` is idempotent and unblocks a concurrent
+    ``recv``.
     """
 
     kind = "abstract"
@@ -100,6 +103,12 @@ class Transport:
         raise NotImplementedError
 
     def recv(self) -> tuple:
+        raise NotImplementedError
+
+    def ready(self) -> bool:
+        """True when a message is waiting, or the channel is closed so
+        ``recv`` would raise; never blocks.  The shard worker asks this to
+        decide whether to score its pending batch now."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -125,6 +134,12 @@ class PipeTransport(Transport):
             return self._conn.recv()
         except (EOFError, OSError) as exc:
             raise TransportError(f"pipe closed: {exc}") from exc
+
+    def ready(self) -> bool:
+        try:
+            return self._conn.poll(0)  # also True at EOF
+        except (OSError, ValueError):
+            return True  # our end is closed: recv raises at once
 
     def close(self) -> None:
         try:
@@ -219,6 +234,14 @@ class SocketTransport(Transport):
         if got is None:
             raise TransportError("peer closed the socket")
         return got
+
+    def ready(self) -> bool:
+        # recv reads exact frame lengths straight off the socket, so no
+        # message can sit in a user-space buffer that select cannot see
+        try:
+            return bool(select.select([self._sock], [], [], 0)[0])  # also True at EOF
+        except (OSError, ValueError):
+            return True  # our end is closed: recv raises at once
 
     def recv(self) -> tuple:
         is_binary, payload = self._recv_any()

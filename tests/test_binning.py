@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.ml.binning import QuantileBinner
+from repro.ml.binning import SMALL_BLOCK_ROWS, QuantileBinner
 
 
 class TestQuantileBinner:
@@ -55,6 +55,101 @@ class TestQuantileBinner:
         for f in range(X.shape[1]):
             order = np.argsort(X[:, f], kind="stable")
             assert np.all(np.diff(codes[order, f].astype(int)) >= 0)
+
+
+def loop_codes(binner: QuantileBinner, X: np.ndarray) -> np.ndarray:
+    """The reference binning: one ``searchsorted`` per column."""
+    X = np.asarray(X, dtype=float)
+    codes = np.empty(X.shape, dtype=np.uint8)
+    for f, edges in enumerate(binner.edges_):
+        codes[:, f] = np.searchsorted(edges, X[:, f], side="left")
+    return codes
+
+
+def awkward_fit_matrix(n: int = 400, seed: int = 0) -> np.ndarray:
+    """Columns whose edges include 0.0, NaN, a single edge, and ties."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(0, 1, (n, 6))
+    X[rng.random(n) < 0.6, 1] = 0.0        # an edge at exactly 0.0
+    X[rng.random(n) < 0.3, 2] = np.inf     # a NaN top edge (inf - inf)
+    X[rng.random(n) < 0.3, 3] = np.nan     # every edge NaN
+    X[:, 4] = 7.0                          # one edge
+    X[:, 5] = rng.integers(0, 4, n)        # ties
+    return X
+
+
+def special_queries(binner: QuantileBinner, n: int, seed: int = 1) -> np.ndarray:
+    """``n`` rows cycling NaN, ±inf, ±0.0, exact edges and out-of-range
+    values through every column."""
+    rng = np.random.default_rng(seed)
+    d = len(binner.edges_)
+    Q = rng.normal(0, 1, (n, d))
+    for i in range(n):
+        for f in range(d):
+            edges = binner.edges_[f]
+            finite = edges[np.isfinite(edges)]
+            top = finite[-1] if finite.size else 0.0
+            specials = (np.nan, np.inf, -np.inf, -0.0, 0.0, edges[len(edges) // 2],
+                        edges[0], edges[-1], top + 1.0, top * 4 + 1e9, -1e300)
+            if (i + f) % 3:
+                Q[i, f] = specials[(i * d + f) % len(specials)]
+    return Q
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestSmallBlockPath:
+    """Blocks up to ``SMALL_BLOCK_ROWS`` rows bin by one padded compare;
+    every code must equal the per-column ``searchsorted`` loop's."""
+
+    SIZES = (1, 8, SMALL_BLOCK_ROWS - 1, SMALL_BLOCK_ROWS, SMALL_BLOCK_ROWS + 1)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_codes_equal_the_loop_on_awkward_values(self, n):
+        binner = QuantileBinner(32).fit(awkward_fit_matrix())
+        binner.prepare()
+        Q = special_queries(binner, n)
+        assert np.array_equal(binner.transform(Q), loop_codes(binner, Q))
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_frozen_queries_are_cached_identically(self, n):
+        binner = QuantileBinner(16).fit(awkward_fit_matrix(seed=3))
+        binner.prepare()
+        Q = special_queries(binner, n, seed=4)
+        Q.setflags(write=False)
+        first = binner.transform(Q)
+        assert binner.transform(Q) is first  # code-cache hit
+        assert np.array_equal(first, loop_codes(binner, Q))
+
+    def test_refit_never_scores_with_a_stale_lookup(self):
+        rng = np.random.default_rng(5)
+        binner = QuantileBinner(16).fit(rng.normal(0, 1, (300, 3)))
+        binner.prepare()
+        binner.fit(rng.normal(10, 1, (300, 3)))  # new edges, no prepare
+        Q = rng.normal(10, 1, (4, 3))
+        assert np.array_equal(binner.transform(Q), loop_codes(binner, Q))
+        binner.prepare()
+        assert np.array_equal(binner.transform(Q), loop_codes(binner, Q))
+
+    def test_infinite_edges(self):
+        binner = QuantileBinner(8)
+        binner.edges_ = [np.array([-np.inf, -0.0, 1.0, np.inf])]
+        binner.prepare()
+        Q = np.array([[-np.inf], [-1.0], [-0.0], [0.0], [1.0], [2.0], [np.inf], [np.nan]])
+        assert np.array_equal(binner.transform(Q), loop_codes(binner, Q))
+
+    def test_prepare_is_idempotent_and_keyed_on_edges(self):
+        binner = QuantileBinner(8).fit(awkward_fit_matrix())
+        binner.prepare()
+        lookup = binner._lookup
+        binner.prepare()
+        assert binner._lookup is lookup and lookup[0] is binner.edges_
+
+    @given(arrays(np.float64, st.tuples(st.integers(1, SMALL_BLOCK_ROWS + 1), st.just(3)),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)))
+    def test_any_float_bins_like_the_loop(self, Q):
+        binner = QuantileBinner(16).fit(awkward_fit_matrix()[:, 1:4])
+        binner.prepare()
+        assert np.array_equal(binner.transform(Q), loop_codes(binner, Q))
 
 
 class TestCacheStalenessRegression:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ml.binning import QuantileBinner
+from repro.ml.binning import SMALL_BLOCK_ROWS, QuantileBinner
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.gbm import GradientBoostingRegressor
 from repro.ml.predictor import PackedForest
@@ -136,6 +136,64 @@ class TestPackedForestEquivalence:
     def test_unfitted_tree_rejected(self):
         with pytest.raises(RuntimeError):
             PackedForest.from_trees([BinnedTree()])
+
+
+def _loop_codes(binner, X):
+    """Reference binning: one ``searchsorted`` per column."""
+    X = np.asarray(X, dtype=float)
+    return np.stack(
+        [np.searchsorted(e, X[:, f], side="left") for f, e in enumerate(binner.edges_)],
+        axis=1,
+    ).astype(np.uint8)
+
+
+def _awkward_rows(model, n, seed):
+    """``n`` query rows with NaN, ±inf, ±0.0, values equal to an edge and
+    values beyond the top edge spread across the columns."""
+    rng = np.random.default_rng(seed)
+    edges = model.binner_.edges_
+    Q = rng.normal(0, 1, (n, len(edges)))
+    for i in range(n):
+        f = i % len(edges)
+        Q[i, f] = (np.nan, np.inf, -np.inf, -0.0, edges[f][len(edges[f]) // 2],
+                   edges[f][-1], edges[f][-1] + 1.0)[i % 7]
+        Q[i, (f + 3) % len(edges)] = (np.nan, 1e300, -0.0)[i % 3]
+    return Q
+
+
+@pytest.mark.parametrize("n", [1, 8, SMALL_BLOCK_ROWS - 1, SMALL_BLOCK_ROWS, SMALL_BLOCK_ROWS + 1])
+class TestServingSizeBitIdentity:
+    """Flush-sized calls (the small-block binning and accumulation paths)
+    equal the per-tree loop over reference-binned codes, bit for bit."""
+
+    def test_gbm(self, gbm, n):
+        gbm._ensure_pack()  # the registry's pre-warm
+        Q = _awkward_rows(gbm, n, seed=n)
+        codes = _loop_codes(gbm.binner_, Q)
+        ref = np.full(n, gbm.base_score_)
+        for tree in gbm.trees_:
+            ref += gbm.learning_rate * tree.predict(codes)
+        assert np.array_equal(gbm.predict(Q), ref)
+        rows = [Q[i : i + 1] for i in range(n)]
+        for out, row in zip(gbm.predict_many(rows), rows):
+            assert np.array_equal(out, gbm.predict(row))
+
+    def test_forest(self, forest, n):
+        forest._ensure_pack()
+        Q = _awkward_rows(forest, n, seed=100 + n)
+        mat = np.stack([t.predict(_loop_codes(forest.binner_, Q)) for t in forest.trees_])
+        assert np.array_equal(forest.predict(Q), mat.mean(axis=0))
+        mean, var = forest.predict_dist(Q)
+        assert np.array_equal(mean, mat.mean(axis=0))
+        assert np.array_equal(var, mat.var(axis=0))
+        rows = [Q[i : i + 1] for i in range(n)]
+        for out, row in zip(forest.predict_many(rows), rows):
+            assert np.array_equal(out, forest.predict(row))
+            row_mat = np.stack([t.predict(_loop_codes(forest.binner_, row)) for t in forest.trees_])
+            assert np.array_equal(out, row_mat.mean(axis=0))
+        for (m, v), row in zip(forest.predict_dist_many(rows), rows):
+            ref_m, ref_v = forest.predict_dist(row)
+            assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
 
 
 class TestPackedLayoutDtypes:

@@ -292,6 +292,28 @@ class TestRetryController:
         assert rc.stats().breaker_probes == 1
         assert clock.sleeps == []      # and nobody spun in the gate
 
+    def test_fifo_collector_does_not_wait_on_a_probe_a_younger_ticket_holds(self):
+        # The edge collects one connection's replies in order, one
+        # result() at a time.  Ticket a arrives behind an open breaker and
+        # defers its first attempt; the reset then lapses and ticket b
+        # arrives.  If b's eager submit took the half-open probe, a would
+        # wait in the gate for an outcome only b's result() records, and
+        # the collector reaches b only after a gives up: a spends its
+        # whole budget and fails CIRCUIT_OPEN (60 s behind the real edge).
+        clock = FakeClock()
+        cluster = ScriptedCluster([1.0, 2.0])
+        rc = self._controller(cluster, clock, deadline_s=5.0,
+                              breaker_threshold=1, breaker_reset_s=0.2)
+        rc.breaker(0).record_failure()
+        tickets = [rc.submit("m", np.zeros(3))]   # open: a defers
+        clock.advance(0.25)
+        tickets.append(rc.submit("m", np.zeros(3)))
+        replies = [t.result(timeout=5.0) for t in tickets]  # FIFO collector
+        assert replies == [1.0, 2.0]
+        assert clock.sleeps == []       # nobody waited in the gate
+        s = rc.stats()
+        assert (s.breaker_probes, s.breaker_closes) == (1, 1)
+
     def test_unclassified_internal_errors_are_not_blind_retried(self):
         clock = FakeClock()
         cluster = ScriptedCluster([RuntimeError("??")])

@@ -278,6 +278,52 @@ class TestPipeTransportUnit:
         b.close()
 
 
+@pytest.fixture(params=["pipe", "socket"])
+def channel(request):
+    """A connected transport pair of each kind: (near, far)."""
+    if request.param == "pipe":
+        import multiprocessing as mp
+
+        a, b = mp.Pipe()
+        ends = PipeTransport(a), PipeTransport(b)
+    else:
+        a, b = socket.socketpair()
+        ends = SocketTransport(a), SocketTransport(b)
+    try:
+        yield ends
+    finally:
+        for end in ends:
+            end.close()
+
+
+class TestReady:
+    """``ready()`` is true exactly when ``recv`` would not block."""
+
+    def test_idle_channel_is_not_ready(self, channel):
+        near, far = channel
+        assert not far.ready()
+        assert not near.ready()
+
+    def test_queued_message_is_ready_until_received(self, channel):
+        near, far = channel
+        near.send(("submit", 0, "m", np.arange(3.0), "predict"))
+        assert far.ready()
+        assert far.recv()[:3] == ("submit", 0, "m")
+        assert not far.ready()
+
+    def test_peer_close_is_ready_and_recv_raises(self, channel):
+        near, far = channel
+        near.close()
+        assert far.ready()
+        with pytest.raises(TransportError):
+            far.recv()
+
+    def test_own_close_is_ready(self, channel):
+        near, far = channel
+        far.close()
+        assert far.ready()
+
+
 # ---------------------------------------------------------------------- #
 # listener handshake
 # ---------------------------------------------------------------------- #
@@ -359,6 +405,18 @@ class TestClusterTransportIdentity:
         assert np.array_equal(got["pipe"], ref)
         assert np.array_equal(got["socket"], ref)
         assert np.array_equal(got["socket"], got["pipe"])
+
+    @pytest.mark.parametrize("transport", ["pipe", "socket"])
+    def test_worker_scores_once_its_channel_is_empty(self, transport):
+        # the worker flushes as soon as no further message is waiting, so
+        # a lone request never waits out the batcher's deadline
+        reg, models = _registry(("alpha",))
+        row = _rows(1, seed=23)[0]
+        with _cluster(reg, n_shards=1, max_delay=600.0, transport=transport) as cluster:
+            cluster.stats()  # a round trip: the worker is up
+            got = cluster.predict("alpha", row, timeout=1.0)
+            assert cluster.stats().total.deadline_flushes == 0
+        assert got == float(models["alpha"].predict(row[None, :])[0])
 
     def test_replicated_block_fanout_socket_identical(self):
         reg, models = _registry()
