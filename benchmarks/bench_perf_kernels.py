@@ -7,6 +7,9 @@ Times the two hot paths the perf layer replaced:
 * **GBM fit** — histogram-subtraction vs. direct-histogram training at
   depth ≥ 8 (target: ≥ 1.3×, same tree structures),
 
+each gated on the median of per-round ratios, both sides timed back to
+back in every round (see ``_paired``),
+
 and the call the serving micro-batcher makes:
 
 * **serving predict** — per-call ``predict_many`` over ``m`` single-row
@@ -50,16 +53,30 @@ SERVING_FEATURES = 87  # the e2e benchmark's POSIX feature set width
 SERVING_TRAIN = 2_000
 SERVING_SIZES = (1, 8, 64, 1024)
 SERVING_SECONDS = 0.5  # timed budget per (model, size)
+FOREST_ROUNDS = 9  # paired rounds behind the forest-predict speedup
+GBM_ROUNDS = 3     # paired rounds behind the GBM-fit speedup (fits are slow)
 
 
-def _timed(fn, reps=3):
-    best = np.inf
-    out = None
-    for _ in range(reps):
+def _paired(slow, fast, rounds):
+    """Time ``slow`` and ``fast`` back to back, ``rounds`` times.
+
+    Returns the median time of each, the median of the per-round
+    ``slow / fast`` ratios, and the last outputs.  Both sides of a ratio
+    run within one round, so host load that drifts between rounds
+    cancels, and the median keeps one disturbed round from deciding the
+    speedup gate.
+    """
+    t_slow, t_fast = [], []
+    for _ in range(rounds):
         t0 = time.perf_counter()
-        out = fn()
-        best = min(best, time.perf_counter() - t0)
-    return best, out
+        out_slow = slow()
+        t1 = time.perf_counter()
+        out_fast = fast()
+        t2 = time.perf_counter()
+        t_slow.append(t1 - t0)
+        t_fast.append(t2 - t1)
+    ratio = float(np.median(np.array(t_slow) / np.array(t_fast)))
+    return float(np.median(t_slow)), float(np.median(t_fast)), ratio, out_slow, out_fast
 
 
 def _synth(n, d, seed):
@@ -83,9 +100,12 @@ def bench_forest_predict() -> dict:
     Xt, _ = _synth(PREDICT_ROWS, N_FEATURES, seed=99)
     codes = forest.binner_.transform(np.asarray(Xt, dtype=float))
 
-    t_loop, mat_loop = _timed(lambda: np.stack([t.predict(codes) for t in forest.trees_]))
     pack = forest._ensure_pack()
-    t_pack, mat_pack = _timed(lambda: pack.predict_matrix(codes))
+    t_loop, t_pack, speedup, mat_loop, mat_pack = _paired(
+        lambda: np.stack([t.predict(codes) for t in forest.trees_]),
+        lambda: pack.predict_matrix(codes),
+        FOREST_ROUNDS,
+    )
     assert np.array_equal(mat_loop, mat_pack), "packed forest is not bit-identical"
 
     return {
@@ -93,9 +113,10 @@ def bench_forest_predict() -> dict:
         "n_rows": PREDICT_ROWS,
         "arena_nodes": pack.n_nodes,
         "arena_depth": pack.max_depth,
+        "rounds": FOREST_ROUNDS,
         "looped_s": round(t_loop, 4),
         "packed_s": round(t_pack, 4),
-        "speedup": round(t_loop / t_pack, 2),
+        "speedup": round(speedup, 2),  # median per-round ratio
     }
 
 
@@ -106,31 +127,29 @@ def bench_gbm_fit() -> dict:
     # contract) so both variants time only tree growth
     X.setflags(write=False)
     QuantileBinner(64).fit_transform(X)
-    times = {False: np.inf, True: np.inf}
-    models = {}
-    for _rep in range(2):  # best-of-2, interleaved to even out machine noise
-        for sub in (False, True):
-            m = GradientBoostingRegressor(
-                n_estimators=GBM_TREES,
-                max_depth=GBM_DEPTH,
-                min_child_weight=3.0,
-                loss="squared",
-                hist_subtraction=sub,
-            )
-            t0 = time.perf_counter()
-            m.fit(X, y)
-            times[sub] = min(times[sub], time.perf_counter() - t0)
-            models[sub] = m
-    for t_sub, t_ref in zip(models[True].trees_, models[False].trees_):
-        assert np.array_equal(t_sub.nodes_.feature, t_ref.nodes_.feature)
+
+    def fit(sub):
+        return GradientBoostingRegressor(
+            n_estimators=GBM_TREES,
+            max_depth=GBM_DEPTH,
+            min_child_weight=3.0,
+            loss="squared",
+            hist_subtraction=sub,
+        ).fit(X, y)
+
+    t_full, t_sub, speedup, full, sub = _paired(
+        lambda: fit(False), lambda: fit(True), GBM_ROUNDS)
+    for tree_sub, tree_full in zip(sub.trees_, full.trees_):
+        assert np.array_equal(tree_sub.nodes_.feature, tree_full.nodes_.feature)
 
     return {
         "n_rows": GBM_ROWS,
         "max_depth": GBM_DEPTH,
         "n_estimators": GBM_TREES,
-        "full_hist_s": round(times[False], 4),
-        "subtraction_s": round(times[True], 4),
-        "speedup": round(times[False] / times[True], 2),
+        "rounds": GBM_ROUNDS,
+        "full_hist_s": round(t_full, 4),
+        "subtraction_s": round(t_sub, 4),
+        "speedup": round(speedup, 2),  # median per-round ratio
     }
 
 

@@ -9,7 +9,6 @@ Every major capability is reachable without writing Python::
     repro cluster   --dataset theta.npz --clusters 10
     repro export-darshan --dataset theta.npz --out logs/ --limit 100
     repro drift     --dataset theta.npz
-    repro chaos-bench --names 25 --versions-per-name 20 --kills 6
     repro obs --requests 64 --slowest 8
 
 Commands accept either ``--dataset file.npz`` (a saved dataset) or
@@ -41,11 +40,10 @@ def record_trajectory_entry(
     entry: dict, results_dir: Path, filename: str = "BENCH_serve.json"
 ) -> Path:
     """Append one timestamped entry to a bench trajectory
-    (``BENCH_serve.json`` by default; ``BENCH_chaos.json`` and
-    ``BENCH_kernels.json`` are the others — one entry per run, never
-    overwritten).
+    (``BENCH_serve.json`` by default; ``BENCH_kernels.json`` is the
+    other — one entry per run, never overwritten).
 
-    The single writer for the trajectory format: the CLI and the
+    The single writer for the trajectory format: the
     ``benchmarks/bench_*.py`` scripts all go through here, so the
     load-append-write scheme cannot drift between them.
     """
@@ -204,46 +202,6 @@ def cmd_drift(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_chaos_bench(args: argparse.Namespace) -> int:
-    from repro.serve.chaos import run_chaos_bench
-
-    r = run_chaos_bench(
-        n_names=args.names,
-        versions_per_name=args.versions_per_name,
-        n_shards=args.shards,
-        n_requests=args.requests,
-        n_kills=args.kills,
-        max_shards=args.max_shards,
-        slo_target_ms=args.slo_ms,
-        source=args.source,
-        seed=args.seed,
-    )
-    rows = [
-        ["client wall", f"{r['p50_ms']:.2f}", f"{r['p99_ms']:.2f}",
-         f"{r['p999_ms']:.2f}"],
-        ["fleet ring", f"{r['fleet_p50_ms']:.2f}", f"{r['fleet_p99_ms']:.2f}",
-         f"{r['fleet_p999_ms']:.2f}"],
-    ]
-    print(format_table(
-        ["latency", "p50 ms", "p99 ms", "p999 ms"],
-        rows,
-        title=(f"Chaos soak — {r['completed']}/{r['n_requests']} requests over "
-               f"{r['n_versions']} versions ({r['n_names']} names) on "
-               f"{r['n_shards_initial']}->{r['n_shards_final']} shards, "
-               f"{r['source']} traffic: {r['kills']} kills, {r['respawns']} "
-               f"respawns, {r['churns']} churns, {r['retries']} retries")))
-    print(f"survival: {r['client_errors']} client-visible errors, "
-          f"{r['mismatches']} bit-identity mismatches, "
-          f"{r['poison_failed_fast']}/{r['poison_sent']} poison failed fast, "
-          f"{r['drift_alerts']} drift alerts, autoscaler "
-          f"{r['scale_ups']} up / {r['scale_downs']} down / "
-          f"{r['scale_failures']} failed")
-    path = record_trajectory_entry(
-        {"chaos": r}, args.record_dir, filename="BENCH_chaos.json")
-    print(f"recorded chaos entry in {path}")
-    return 0
-
-
 def cmd_obs(args: argparse.Namespace) -> int:
     """End-to-end observability demo on the deployed stack: trace one wire
     request through edge -> RetryController -> sharded cluster, then pull
@@ -393,35 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoff", type=float, default=0.8, help="training fraction of the span")
     p.add_argument("--top", type=int, default=8, help="features to list")
     p.set_defaults(func=cmd_drift)
-
-    p = sub.add_parser(
-        "chaos-bench",
-        help="storm-scale chaos soak: hundreds of versions, Zipf multi-tenant "
-             "traffic, kill storms under promote/rollback churn, poison "
-             "floods, drift injection, SLO autoscaler; records a chaos entry "
-             "in BENCH_chaos.json",
-    )
-    p.add_argument("--names", type=int, default=25,
-                   help="tenant model names in the registration storm")
-    p.add_argument("--versions-per-name", type=int, default=20,
-                   help="versions pinned per name (names x versions >= 500 "
-                        "is the storm-scale gate)")
-    p.add_argument("--shards", type=int, default=2,
-                   help="initial fleet width (the autoscaler moves it)")
-    p.add_argument("--max-shards", type=int, default=4,
-                   help="autoscaler ceiling")
-    p.add_argument("--requests", type=int, default=2000,
-                   help="Zipf-routed requests across the soak")
-    p.add_argument("--kills", type=int, default=6,
-                   help="shard kills spread across the storm")
-    p.add_argument("--slo-ms", type=float, default=50.0,
-                   help="autoscaler p99 target")
-    p.add_argument("--source", default="sim", choices=("sim", "synthetic"),
-                   help="request pools: simulator-driven (§ platform/weather/"
-                        "workload drift knobs) or plain gaussian")
-    p.add_argument("--record-dir", type=Path, default=Path("benchmarks/results"))
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_chaos_bench)
 
     p = sub.add_parser(
         "obs",

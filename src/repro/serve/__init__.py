@@ -39,18 +39,6 @@ overload with a structured ``OVERLOADED`` wire error, and stays
 bit-identical to the in-process path; :class:`ServeClient` is the
 blocking, pipelining counterpart.
 
-:mod:`repro.serve.autoscale` + :mod:`repro.serve.chaos` close the
-capacity loop and prove the whole stack under storm conditions:
-:class:`SLOAutoscaler` is an AIMD controller one level above the batch
-tuner — when the fleet's windowed p99 breaches the SLO it grows the
-live shard count through ``scale_to`` (and shrinks it on sustained
-calm), emitting coded ``MonitorEvent``s; :func:`run_chaos_soak` is the
-harness that earns the claims — hundreds-to-thousands of registered
-versions, Zipf multi-tenant bursty traffic, kill/respawn storms under
-live promote/rollback churn, poison floods, simulator-driven drift —
-with a bit-identity witness on every survivor and p50/p99/p999 tails
-recorded into the ``BENCH_chaos.json`` trajectory.
-
 :mod:`repro.serve.obs` makes the whole stack legible: a request-scoped
 :class:`TraceContext` (born at the network edge or ``gateway.submit``,
 sampled 1-in-N, carried on the frame protocol and across shard
@@ -66,16 +54,9 @@ the plane on or off, ≤ 5 % overhead gated by
 """
 
 from repro.serve.adaptive import AdaptiveBatchTuner, TuningDecision
-from repro.serve.autoscale import ScalingDecision, SLOAutoscaler
 from repro.serve.backend import Backend
 from repro.serve.batcher import MicroBatcher, Ticket
 from repro.serve.cache import PredictionCache, request_digest
-from repro.serve.chaos import (
-    ChaosConfig,
-    ChaosLinearModel,
-    run_chaos_bench,
-    run_chaos_soak,
-)
 from repro.serve.errors import (
     CodedError,
     ErrorCode,
@@ -141,8 +122,6 @@ __all__ = [
     "AsyncServeServer",
     "Backend",
     "COMPONENTS",
-    "ChaosConfig",
-    "ChaosLinearModel",
     "CircuitBreaker",
     "ClusterStats",
     "ClusterTicket",
@@ -168,9 +147,7 @@ __all__ = [
     "ResilienceStats",
     "RetryController",
     "RetryTicket",
-    "SLOAutoscaler",
     "STAGES",
-    "ScalingDecision",
     "ServeClient",
     "ServerStats",
     "ServingGateway",
@@ -199,8 +176,6 @@ __all__ = [
     "freeze_arrays",
     "from_wire",
     "request_digest",
-    "run_chaos_bench",
-    "run_chaos_soak",
     "to_json",
     "to_prometheus",
     "to_wire",

@@ -82,8 +82,8 @@ class ErrorCode(IntEnum):
     RESPAWN_FAILED = (509, "critical", True)
     TRANSPORT_ERROR = (510, "critical", True)  # parent<->worker channel failed
     OVERLOADED = (513, "warning", True)  # admission control shed the request
-    SLO_BREACH = (514, "warning", False)  # latency SLO violated (autoscaler signal)
-    AUTOSCALE_FAILED = (515, "critical", True)  # a scale action raised mid-flight
+    SLO_BREACH = (514, "warning", False)  # retired: raised by nothing, number reserved
+    AUTOSCALE_FAILED = (515, "critical", True)  # retired: raised by nothing, number reserved
 
     # --- 6xx: model/data (the scoring or monitoring contract failed) ----
     MODEL_RESOLUTION_FAILED = (600, "error", False)

@@ -1,6 +1,6 @@
 """Structured logging: JSON lines, trace-correlated, coded-error aware.
 
-The bench/chaos/CLI paths used to narrate progress with bare ``print``
+The bench and CLI paths used to narrate progress with bare ``print``
 calls — human-readable, machine-opaque.  :class:`StructuredLogger` emits
 one JSON object per line so harness output can be grepped, joined
 against trace dumps by trace id, and diffed across runs:

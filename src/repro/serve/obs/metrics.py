@@ -87,7 +87,7 @@ METRICS: tuple[MetricSpec, ...] = (
     MetricSpec("repro_gateway_tap_errors_total", "counter",
                "Monitoring-tap exceptions swallowed (all levels summed)"),
     MetricSpec("repro_cluster_steals_total", "counter",
-               "Hash-routed requests rerouted to an idle shard"),
+               "Deprecated, always 0 (work stealing was removed)"),
     MetricSpec("repro_cluster_shards_live", "gauge",
                "Shards that answered the last stats fan-out"),
     # --- network edge (AsyncServeServer.counters) ---------------------- #

@@ -61,7 +61,7 @@ COMPONENTS = frozenset({
     "edge",        # AsyncServeServer: parse/admission/respond
     "gateway",     # ServingGateway: route to the per-name service
     "batcher",     # MicroBatcher: queue_wait/flush/score
-    "cluster",     # ShardedServingCluster parent: route/steal/transport
+    "cluster",     # ShardedServingCluster parent: route/transport
     "worker",      # shard worker process: respond (result wait + send)
     "resilience",  # RetryController: retry attempts
 })
@@ -71,7 +71,7 @@ STAGES = frozenset({
     "queue_wait",  # batcher: enqueue -> drain into a flush
     "flush",       # batcher: one drained batch scoring (batch-level)
     "route",       # gateway/cluster: pick the service / shard
-    "steal",       # cluster: work-stealing reroute (replaces route)
+    "steal",       # deprecated: never recorded (work stealing was removed)
     "transport",   # cluster: send -> worker response completes the ticket
     "score",       # batcher: drain -> ticket completed
     "respond",     # edge/worker: result wait + response hand-off

@@ -417,8 +417,9 @@ class RetryController(Backend):
                 # neither success nor failure would leak the probe slot
                 # and wedge the breaker half-open, starving the shard of
                 # traffic until an unrelated request happened to report
-                # (the chaos harness catches this as poison floods turning
-                # into full-deadline CIRCUIT_OPEN stalls)
+                # (poison rows during a kill storm turned into
+                # full-deadline CIRCUIT_OPEN stalls; see
+                # test_poisoned_probe_releases_the_half_open_breaker)
                 self.breaker(sid).record_success()
             else:
                 self.breaker(sid).record_failure()

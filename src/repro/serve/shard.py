@@ -425,17 +425,6 @@ class ShardedServingCluster(TapHost, Backend):
         protocol on a loopback TCP socket (token-handshaked, binary
         ndarray frames) — bit-identical results, multi-node-shaped
         plumbing.  See :mod:`repro.serve.transport`.
-    steal, steal_threshold:
-        Work-stealing dispatch for ``"hash"`` routing: when the routed
-        owner's pending depth is at least ``steal_threshold`` and some
-        other live shard is completely idle, a stealable request (a
-        single row — blocks keep batcher locality) reroutes to the idle
-        replica.  Safe because every live shard holds every model at
-        every version (mutations are ack-gated broadcasts; respawns
-        warm-start from the parent snapshot) and scoring is stateless
-        and version-pinned, so the stolen request is bit-identical; the
-        per-ticket completion contract is unchanged.  ``steals`` counts
-        reroutes.  Off by default.
     max_batch, max_delay, cache_entries, n_jobs:
         Per-shard gateway defaults (each worker's per-name services are
         created from these, exactly as in a single-process gateway).
@@ -445,7 +434,7 @@ class ShardedServingCluster(TapHost, Backend):
         FIFO response stream forever.
     tracer:
         Optional parent-side :class:`~repro.serve.obs.trace.Tracer`.
-        When set, traced submissions record ``route``/``steal`` and
+        When set, traced submissions record ``route`` and
         ``transport`` spans here, the trace id rides the submit tuple to
         the shard, and every worker stands up its own tracer (same ring
         size) whose spans :meth:`trace_spans` fetches back by the ``obs``
@@ -472,8 +461,6 @@ class ShardedServingCluster(TapHost, Backend):
         route: str = "hash",
         start_method: str | None = None,
         transport: str = "pipe",
-        steal: bool = False,
-        steal_threshold: int = 8,
         max_batch: int = 256,
         max_delay: float = 0.005,
         cache_entries: int = 4096,
@@ -489,15 +476,9 @@ class ShardedServingCluster(TapHost, Backend):
         if transport not in _TRANSPORTS:
             raise ValueError(
                 f"transport must be one of {_TRANSPORTS}, got {transport!r}")
-        if steal_threshold < 1:
-            raise ValueError("steal_threshold must be >= 1")
         self.registry = registry
         self.route = route
         self.transport = transport
-        self.steal = bool(steal)
-        self.steal_threshold = int(steal_threshold)
-        self._steal_lock = threading.Lock()
-        self._steals = 0
         self.request_timeout = float(request_timeout)
         super().__init__()
         self._init_tracing(tracer, trace_sample)
@@ -518,8 +499,8 @@ class ShardedServingCluster(TapHost, Backend):
         self._rr = itertools.count()
         # one snapshot serialization per registry state — the models
         # dominate the bytes and are identical for every worker, so the
-        # initial fleet, a K-shard respawn wave, and a scale-up burst all
-        # reuse one pickle keyed on the registry's mutation counter
+        # initial fleet and a K-shard respawn wave all reuse one pickle
+        # keyed on the registry's mutation counter
         # (mutated only under self._lock / __init__)
         self._snapshot_cache: tuple[int, bytes] | None = None
         snapshot_bytes = self._snapshot_bytes()
@@ -658,61 +639,10 @@ class ShardedServingCluster(TapHost, Backend):
             self._shards = shards
         return respawned
 
-    def scale_to(self, n_shards: int) -> int:
-        """Grow or shrink the live fleet to ``n_shards`` workers; returns
-        the resulting shard count.
-
-        Scaling is **tail-only**, preserving the ``index == shard_id``
-        invariant the router and :meth:`kill_shard` rely on: growth spawns
-        shards ``len..n_shards-1`` from one cached snapshot serialization,
-        shrink retires the highest-numbered shards.  A retired worker gets
-        the same drain-then-exit shutdown as :meth:`close` (its gateway
-        completes in-flight tickets first); a request racing the
-        retirement surfaces the usual coded :class:`ShardCrashedError`,
-        which the resilience plane retries onto a surviving shard.  The
-        supervisor and the hash router follow the new width automatically
-        (both re-read ``n_shards`` every pass)."""
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        retired: list[_ShardHandle] = []
-        with self._lock:
-            if self._closed:
-                raise coded(RuntimeError("ShardedServingCluster is closed"),
-                            ErrorCode.CLOSED)
-            shards = list(self._shards)
-            if n_shards > len(shards):
-                snapshot_bytes = self._snapshot_bytes()
-                while len(shards) < n_shards:
-                    shards.append(self._spawn(len(shards), snapshot_bytes))
-            else:
-                while len(shards) > n_shards:
-                    retired.append(shards.pop())
-            self._shards = shards
-        # drain retired workers outside the broadcast lock: submissions
-        # already read the new (shorter) list, so nothing new routes here
-        for handle in retired:
-            self._retire(handle)
-        return len(shards)
-
-    def _retire(self, handle: _ShardHandle, timeout: float = 10.0) -> None:
-        """Drain-then-stop one worker removed from the routing table."""
-        with handle.lock:
-            if handle.alive:
-                try:
-                    handle.transport.send(("shutdown",))
-                except TransportError:
-                    pass  # already dying; the kill below still reaps it
-        handle.process.join(timeout=timeout)
-        if handle.process.is_alive():
-            handle.process.kill()
-            handle.process.join(timeout=1.0)
-        handle.transport.close()
-        if handle.reader is not None:
-            handle.reader.join(timeout=timeout)
-
     def kill_shard(self, shard_id: int) -> None:
         """Hard-kill one worker process — the crash the resilience plane
-        recovers from (the chaos harness and the e2e storm drive it).
+        recovers from (the kill tests and the e2e ``storm`` workload
+        drive it).
         The reader notices EOF, fails the shard's pending tickets, and
         marks it dead; :meth:`respawn` brings a replacement up."""
         handle = self._shards[shard_id]
@@ -749,43 +679,6 @@ class ShardedServingCluster(TapHost, Backend):
         if not live:
             return None
         return live[next(self._rr) % len(live)]
-
-    def _route(self, name: str) -> _ShardHandle | None:
-        if self.route == "hash":
-            shards = self._shards  # one snapshot: see submit()
-            return shards[shard_for_name(name, len(shards))]
-        return self._pick_shard()
-
-    @property
-    def steals(self) -> int:
-        """How many hash-routed requests the dispatcher rerouted to an
-        idle replica (0 unless ``steal=True``)."""
-        return self._steals
-
-    def _steal_target(self, owner: _ShardHandle) -> _ShardHandle | None:
-        """An idle live shard to steal to, or ``None`` to stay home.
-
-        Stealing triggers only when the hash-routed owner is congested —
-        pending depth at ``steal_threshold`` or beyond — and some *other*
-        live shard has nothing in flight.  An idle replica is a valid
-        stand-in for any name at any version: registry mutations are
-        ack-gated broadcasts and respawns warm-start from the parent
-        snapshot, so every live worker scores with identical frozen
-        artifacts (bit-identity holds wherever the row lands).  The cost
-        is the owner's batcher/cache locality for that one row, which is
-        exactly the trade a congested owner wants.
-        """
-        with owner.lock:
-            congested = owner.alive and len(owner.pending) >= self.steal_threshold
-        if not congested:
-            return None
-        for handle in self._shards:
-            if handle is owner:
-                continue
-            with handle.lock:
-                if handle.alive and not handle.pending:
-                    return handle
-        return None
 
     @staticmethod
     def _crashed_ticket(shard_id: int, message: str, trace: Any = None) -> ClusterTicket:
@@ -868,26 +761,13 @@ class ShardedServingCluster(TapHost, Backend):
             trace = self._sampled_trace()
         t0 = trace.now() if trace is not None else 0.0
         if self.route == "hash":
-            # pin one routing-table snapshot: a concurrent scale_to swaps
-            # self._shards copy-on-write, so index and length must come
-            # from the same list
-            shards = self._shards
-            owner = shards[shard_for_name(name, len(shards))]
-            handle = owner
-            stage = "route"
-            if self.steal and arr.ndim == 1:
-                idle = self._steal_target(owner)
-                if idle is not None:
-                    handle = idle
-                    stage = "steal"  # the reroute is part of the trace
-                    with self._steal_lock:
-                        self._steals += 1
+            handle = self._shards[self.shard_of(name)]
             if trace is not None:
                 ticket = self._send_request(
                     handle, "submit", name, arr, kind, trace.trace_id,
                     trace=trace,
                 )
-                trace.record("cluster", stage, t0, trace.now(),
+                trace.record("cluster", "route", t0, trace.now(),
                              meta={"shard": handle.shard_id})
             else:
                 ticket = self._send_request(handle, "submit", name, arr, kind)
@@ -1026,7 +906,7 @@ class ShardedServingCluster(TapHost, Backend):
         """Per-shard :class:`GatewayStats` snapshots (dead shards absent),
         rolled up by :class:`~repro.serve.stats.ClusterStats`."""
         return ClusterStats(per_shard=self._fanout("stats"),
-                            tap_errors=self._tap_errors, steals=self._steals)
+                            tap_errors=self._tap_errors)
 
     def trace_spans(self, trace_id: str | None = None) -> dict[str, Any]:
         """Reassemble a cross-process trace (or dump everything recorded).

@@ -199,7 +199,8 @@ class ClusterStats:
     # the parent cluster's own tap failures (shard-local ones live on the
     # per-shard GatewayStats; tap_errors_total folds both levels)
     tap_errors: int = 0
-    # hash-routed requests rerouted to an idle shard by work stealing
+    # deprecated, always 0: work stealing was removed; the field stays
+    # because the frozen metric repro_cluster_steals_total reads it
     steals: int = 0
 
     @property

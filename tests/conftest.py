@@ -37,14 +37,9 @@ excluded while still running in the default tier-1 sweep:
   (:mod:`repro.serve.transport`): binary ndarray frame round-trips
   (hypothesis-driven over dtypes/orders/shapes), the envelope+blob
   socket codec's type parity with the pipe, the listener handshake,
-  pipe-vs-socket cluster bit-identity, and the work-stealing
-  dispatcher's FIFO/bit-identity guarantees.  Tests that fork worker
-  processes also carry ``shard``.
-* ``chaos`` — the storm-scale soak harness (:mod:`repro.serve.chaos`)
-  and the SLO autoscaler (:mod:`repro.serve.autoscale`): fast-mode
-  kill-storm soak under live mutation churn (bit-identity witness, zero
-  client-visible transient errors), poisoned-flood fail-fast, and
-  hypothesis determinism properties for the autoscaler trajectory.
+  pipe-vs-socket cluster bit-identity, and per-submitter FIFO with
+  several submitter threads on one socket cluster.  Tests that fork
+  worker processes also carry ``shard``.
 * ``obs`` — the observability plane (:mod:`repro.serve.obs`): bounded
   span rings with exemplar capture, the frozen span vocabulary, the
   unified metrics registry (Prometheus/JSON exports agree with
@@ -54,7 +49,7 @@ excluded while still running in the default tier-1 sweep:
   traced == untraced bit-identity soak.  Tests that fork worker
   processes also carry ``shard``/``net``.
   The smoke target is
-  ``-m "serve or gateway or shard or monitor or faults or net or transport or chaos or obs"``.
+  ``-m "serve or gateway or shard or monitor or faults or net or transport or obs"``.
 """
 
 
@@ -85,11 +80,7 @@ def pytest_configure(config):
     )
     config.addinivalue_line(
         "markers",
-        "transport: pluggable shard transport tests (codec/handshake/stealing); tier-1",
-    )
-    config.addinivalue_line(
-        "markers",
-        "chaos: storm-scale soak harness + SLO autoscaler tests; tier-1",
+        "transport: pluggable shard transport tests (codec/handshake/FIFO); tier-1",
     )
     config.addinivalue_line(
         "markers",

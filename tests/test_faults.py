@@ -271,6 +271,92 @@ class TestKillDuringFlightSoak:
             assert s.exhausted == 0 and s.failed_fast == 0
             assert sup.stats().respawns >= 1  # the supervisor did the healing
 
+    def test_kill_under_promote_rollback_churn_is_bit_identical(self, forest):
+        """Hard-kill workers while another thread keeps promoting and
+        rolling back.  Every reply must be bit-identical to a version
+        that was in production at some point during its flight, and no
+        client may see an error: the ack-gated broadcasts, the respawn
+        snapshot and the retries must agree on what each worker scores."""
+        X, y = _data()
+        models = {1: forest}
+        reg = ModelRegistry()
+        reg.register("forest", forest, promote=True)
+        for v, seed in ((2, 2), (3, 3)):
+            models[v] = RandomForestRegressor(
+                n_estimators=20, max_depth=8, random_state=seed).fit(X, y)
+            assert reg.register("forest", models[v]) == v
+        rows = _data(n=240, seed=13)[0]
+        direct = {v: [m.predict(r[None, :])[0] for r in rows]
+                  for v, m in models.items()}
+        # (from, to, version): `from` is taken before the mutation that
+        # made the version production, `to` after the one that replaced
+        # it returned, so each interval over-covers its real span
+        timeline: list[tuple[float, float, int]] = []
+        churn_errors: list[Exception] = []
+        stop = threading.Event()
+
+        def churn(cluster):
+            # every third step rolls back, the others promote the next
+            # version round-robin, so production visits all three
+            current, since = 1, time.monotonic()
+            try:
+                while not stop.wait(0.03):
+                    t = time.monotonic()
+                    if len(timeline) % 3 == 2:
+                        nxt = cluster.rollback("forest")
+                    else:
+                        nxt = current % 3 + 1
+                        cluster.promote("forest", nxt)
+                    timeline.append((since, time.monotonic(), current))
+                    current, since = nxt, t
+            except Exception as exc:  # pragma: no cover - diagnostic
+                churn_errors.append(exc)
+            timeline.append((since, float("inf"), current))
+
+        flights = []
+        with ShardedServingCluster(
+            reg, n_shards=2, route="hash", max_batch=16, max_delay=0.002,
+            cache_entries=1,
+        ) as cluster:
+            retry = RetryController(
+                cluster, deadline_s=60.0, base_delay_s=0.01, max_delay_s=0.1,
+                seed=0, breaker_threshold=3, breaker_reset_s=0.05,
+            )
+            with ShardSupervisor(
+                cluster, check_interval_s=0.01, backoff_base_s=0.02,
+                backoff_max_s=0.2, stability_window_s=0.5,
+            ) as sup:
+                sup.start()
+                churner = threading.Thread(target=churn, args=(cluster,))
+                churner.start()
+                try:
+                    pending = []
+                    for i, row in enumerate(rows):
+                        pending.append((i, time.monotonic(),
+                                        retry.submit("forest", row)))
+                        if i in (40, 100, 160, 220):
+                            cluster.kill_shard(cluster.shard_of("forest"))
+                        if len(pending) >= 10 or i == len(rows) - 1:
+                            for j, t0, ticket in pending:
+                                value = ticket.result(timeout=60.0)
+                                flights.append((j, t0, time.monotonic(), value))
+                            pending.clear()
+                        time.sleep(0.001)
+                finally:
+                    stop.set()
+                    churner.join(timeout=60.0)
+                respawns = sup.stats().respawns
+        assert not churner.is_alive()
+        assert not churn_errors, churn_errors
+        assert len(timeline) >= 6          # the churn really interleaved
+        assert respawns >= 1
+        assert len(flights) == len(rows)
+        for j, t0, t1, value in flights:
+            live = {v for lo, hi, v in timeline if lo <= t1 and hi >= t0}
+            assert any(value == direct[v][j] for v in live), (j, live)
+        s = retry.stats()
+        assert s.exhausted == 0 and s.failed_fast == 0
+
     def test_malformed_requests_fail_fast_during_the_storm(self, registry):
         """Client errors are never retried — even while shards are dying
         and the controller is busy recovering everyone else."""

@@ -52,6 +52,19 @@ def gbm(data):
     return GradientBoostingRegressor(n_estimators=20, max_depth=3, loss="squared").fit(X, y)
 
 
+class RowAffine:
+    """Tiny row-wise affine model: cheap to register by the hundred and
+    bit-identical for any batch grouping (each row reduces alone)."""
+
+    def __init__(self, w, b):
+        self.w = np.asarray(w, dtype=float)
+        self.b = float(b)
+
+    def predict(self, X):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return np.array([float(r @ self.w) + self.b for r in X])
+
+
 def _registry(forest, gbm):
     reg = ModelRegistry()
     reg.register("forest", forest, promote=True)
@@ -257,6 +270,31 @@ class TestCrashContainment:
                 v2_model.predict(probe[None, :])[0]
             assert reg.production_version("forest") == v2
 
+    def test_respawn_with_hundreds_of_versions_serves_old_and_new(self):
+        """A killed shard whose registry holds 300 versions warm-starts
+        from the parent snapshot with all of them: after the respawn it
+        answers the oldest and the newest version bit-identically, and a
+        version registered after the respawn reaches it too."""
+        rng = np.random.default_rng(41)
+        models = [RowAffine(rng.normal(0, 1, 6), rng.normal()) for _ in range(300)]
+        reg = ModelRegistry()
+        for model in models:
+            reg.register("many", model)
+        reg.promote("many", 1)
+        probe = _data(n=3, seed=43)[0]
+        with _cluster(reg) as cluster:
+            cluster.kill_shard(cluster.shard_of("many"))
+            assert cluster.respawn() == 1
+            assert cluster.predict("many", probe[0], timeout=20.0) == \
+                models[0].predict(probe[0])[0]
+            cluster.promote("many", 300)
+            assert cluster.predict("many", probe[1], timeout=20.0) == \
+                models[-1].predict(probe[1])[0]
+            newest = RowAffine(rng.normal(0, 1, 6), rng.normal())
+            assert cluster.register("many", newest, promote=True) == 301
+            assert cluster.predict("many", probe[2], timeout=20.0) == \
+                newest.predict(probe[2])[0]
+
     def test_respawn_right_after_kill_does_not_wait_for_the_reader(
         self, forest, gbm, monkeypatch
     ):
@@ -374,7 +412,6 @@ class TestStormBugRegressions:
         cluster.request_timeout = request_timeout
         cluster._closed = False
         cluster._tap_errors = 0
-        cluster._steals = 0
         cluster._shards = [
             SimpleNamespace(shard_id=i, alive=True) for i in range(n_shards)
         ]

@@ -6,9 +6,8 @@ pipe transport, to a single-process gateway, and to direct predicts —
 including through the network front door.  Binary ndarray frames must
 round-trip every dtype/order/shape without touching a byte of the
 buffer, every channel failure must surface as the one coded
-``TransportError`` (510 TRANSPORT_ERROR), and the work-stealing
-dispatcher may reroute congested singles only without breaking
-per-submitter FIFO or bit-identity.
+``TransportError`` (510 TRANSPORT_ERROR), and concurrent submitters
+on one socket cluster each see their own stream in order.
 """
 
 import pickle
@@ -383,8 +382,6 @@ class TestClusterTransportIdentity:
         reg, _ = _registry()
         with pytest.raises(ValueError):
             ShardedServingCluster(reg, n_shards=2, transport="carrier-pigeon")
-        with pytest.raises(ValueError):
-            ShardedServingCluster(reg, n_shards=2, steal_threshold=0)
 
     def test_hash_route_socket_identical_to_pipe_and_direct(self):
         rows = _rows(80, seed=21)
@@ -452,10 +449,11 @@ class TestClusterTransportIdentity:
 
 
 # ---------------------------------------------------------------------- #
-# work-stealing dispatch (forks worker processes)
+# concurrent submitters on one socket cluster (forks worker processes)
 # ---------------------------------------------------------------------- #
 def _hot_names(n_shards=2):
-    """Names all owned by one shard — maximal hash skew, the other idles."""
+    """Names all owned by one shard: every submitter contends for the
+    same worker's FIFO responder."""
     target = shard_for_name("alpha", n_shards)
     names = ["alpha"]
     i = 0
@@ -468,57 +466,20 @@ def _hot_names(n_shards=2):
 
 
 @pytest.mark.shard
-class TestWorkStealing:
-    def test_congested_singles_reroute_and_stay_identical(self):
-        names = _hot_names()
-        reg, models = _registry(names)
-        rows = _rows(150, seed=31)
-        with _cluster(reg, route="hash", transport="pipe", steal=True,
-                      steal_threshold=1, max_delay=0.005) as cluster:
-            tickets = [(name, r, cluster.submit(name, r))
-                       for r in rows for name in names]
-            cluster.flush()
-            for name, r, t in tickets:
-                assert t.result(timeout=30.0) == float(
-                    models[name].predict(r[None, :])[0])
-            assert cluster.steals > 0
-
-    def test_disabled_by_default_and_never_counts(self):
-        names = _hot_names()
-        reg, models = _registry(names)
-        rows = _rows(60, seed=32)
-        with _cluster(reg, route="hash", max_delay=0.005) as cluster:
-            assert cluster.steal is False
-            tickets = [cluster.submit(names[0], r) for r in rows]
-            cluster.flush()
-            [t.result(timeout=30.0) for t in tickets]
-            assert cluster.steals == 0
-
-    def test_blocks_are_never_stolen(self):
-        """Stealing is a single-row affair: block fan-out keeps its
-        routing so chunk reassembly stays deterministic."""
-        names = _hot_names()
-        reg, models = _registry(names)
-        X = _rows(64, seed=33)
-        with _cluster(reg, route="hash", steal=True, steal_threshold=1,
-                      max_batch=8) as cluster:
-            before = cluster.steals
-            got = cluster.predict_block(names[0], X, timeout=30.0)
-            assert np.array_equal(got, models[names[0]].predict(X))
-            assert cluster.steals == before
-
+class TestConcurrentSubmitters:
     def test_fifo_witness_soak_per_submitter(self):
-        """4 submitter threads, stealing on: every submitter's stream
-        completes losslessly, in order, bit-identical — rerouting must be
-        invisible in each thread's observed sequence."""
+        """4 submitter threads on a socket cluster: every submitter's
+        stream completes losslessly, in order, bit-identical — the other
+        threads' interleaving must be invisible in each thread's
+        observed sequence."""
         names = _hot_names()
         reg, models = _registry(names)
         n_threads, n_rows = 4, 80
         results = [None] * n_threads
         errors = []
 
-        with _cluster(reg, route="hash", transport="socket", steal=True,
-                      steal_threshold=2, max_delay=0.003) as cluster:
+        with _cluster(reg, route="hash", transport="socket",
+                      max_delay=0.003) as cluster:
 
             def submitter(tid):
                 rng = np.random.default_rng(100 + tid)
