@@ -23,7 +23,29 @@ import numpy as np
 
 from repro.serve.errors import CodedError, ErrorCode
 
-__all__ = ["Backend", "TapHost", "as_block", "empty_export", "merge_export"]
+__all__ = ["UNSAMPLED", "Backend", "TapHost", "as_block", "empty_export", "merge_export"]
+
+
+class _Unsampled:
+    """The ``trace=`` of a request an upstream layer sampled out.
+
+    The first layer with a tracer (the edge, or a retry controller)
+    decides sampling for the whole stack: a backend handed this records
+    nothing and births no trace of its own.  It answers ``now`` and
+    ``record`` like a context that drops everything, so a decorator can
+    pass it through without a branch."""
+
+    __slots__ = ()
+    trace_id = None
+
+    def now(self) -> float:
+        return 0.0
+
+    def record(self, *args: Any, **kwargs: Any) -> None:
+        pass
+
+
+UNSAMPLED = _Unsampled()
 
 
 def empty_export() -> dict[str, Any]:
@@ -67,9 +89,10 @@ class Backend(ABC):
 
     def _sampled_trace(self) -> Any:
         """A fresh trace for every ``trace_sample``-th untraced request
-        (deterministic stride), else ``None``.  Callers check
-        ``trace is None and self._tracer is not None`` first, so an
-        untraced backend pays one attribute test per request."""
+        (deterministic stride), else ``None``.  Callers call it only for
+        ``trace is None`` with a tracer set, and turn an inbound
+        :data:`UNSAMPLED` into ``None`` instead — so an untraced backend
+        still pays one identity and one attribute test per request."""
         if next(self._trace_tick) % self._trace_sample == 0:
             return self._tracer.start_trace()
         return None

@@ -10,7 +10,8 @@ them FIFO, and flushes on whichever trigger fires first:
   on the hot path), or
 * **deadline** — the oldest pending request has waited ``max_delay``
   seconds; a daemon timer thread flushes, bounding tail latency when
-  traffic is sparse.
+  traffic is sparse.  A batcher built with ``max_delay=math.inf`` starts
+  no timer: its owner flushes (the shard worker's loop does).
 
 A flush snapshots the queue in arrival order, groups requests by kind
 (``predict`` / ``predict_dist``), and scores the groups through
@@ -25,6 +26,7 @@ arena itself.
 from __future__ import annotations
 
 import copy
+import math
 import threading
 import time
 from collections import OrderedDict, deque
@@ -134,7 +136,8 @@ class MicroBatcher:
     max_batch:
         Row-count flush threshold (size trigger).
     max_delay:
-        Seconds the oldest request may wait before a deadline flush.
+        Seconds the oldest request may wait before a deadline flush;
+        ``math.inf`` means never (no timer thread is started).
         Both limits are mutable on a live batcher, but only through
         :meth:`set_limits` (they are read under the queue lock).
     n_jobs:
@@ -252,12 +255,8 @@ class MicroBatcher:
                 batch = self._drain_locked()
                 self.size_flushes += 1
             else:
-                if self._timer is None:
-                    self._timer = threading.Thread(
-                        target=self._timer_loop, name="microbatcher-deadline", daemon=True
-                    )
-                    self._timer.start()
-                if len(self._pending) == 1:
+                self._arm_timer_locked()
+                if self._timer is not None and len(self._pending) == 1:
                     # deadlines are FIFO-monotonic: only an empty→non-empty
                     # transition can move the head the timer is watching
                     self._cond.notify_all()
@@ -343,6 +342,8 @@ class MicroBatcher:
                 batch = self._drain_locked()
                 self.size_flushes += 1
             else:
+                if self._pending:
+                    self._arm_timer_locked()  # an inf → finite retune needs one
                 self._cond.notify_all()  # timer re-reads the head deadline
         if batch:
             self._process(batch)
@@ -413,6 +414,15 @@ class MicroBatcher:
                     t.trace_drained = drained_at
         return batch
 
+    def _arm_timer_locked(self) -> None:
+        """Start the deadline thread on first need; a batcher whose
+        ``max_delay`` is ``math.inf`` never needs one."""
+        if self._timer is None and self.max_delay != math.inf:
+            self._timer = threading.Thread(
+                target=self._timer_loop, name="microbatcher-deadline", daemon=True
+            )
+            self._timer.start()
+
     def _timer_loop(self) -> None:
         while True:
             batch: list[Ticket] | None = None
@@ -423,7 +433,9 @@ class MicroBatcher:
                         continue
                     wait = self._pending[0].deadline - time.monotonic()
                     if wait > 0:
-                        self._cond.wait(wait)
+                        # an infinite deadline (set_limits to inf) waits
+                        # for a notify: Condition.wait rejects inf
+                        self._cond.wait(None if wait == math.inf else wait)
                         continue
                     batch = self._drain_locked()
                     self.deadline_flushes += 1

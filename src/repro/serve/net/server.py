@@ -6,8 +6,9 @@ JSON frame protocol (:mod:`repro.serve.net.protocol`), while every
 blocking ticket operation happens off-loop so one slow flush can never
 stall another connection's accept/read path.
 
-Per connection the data path is three stages, mirroring the shard
-worker's enqueue/responder split:
+Per connection the data path is three stages.  (A shard worker gets by
+with one thread because it scores its own tickets; the edge waits on
+tickets scored elsewhere.)
 
 * the **reader coroutine** (event loop) parses frames and applies
   admission control, then hands work to
@@ -47,7 +48,7 @@ import queue
 import threading
 from typing import Any
 
-from repro.serve.backend import Backend, empty_export, merge_export
+from repro.serve.backend import UNSAMPLED, Backend, empty_export, merge_export
 from repro.serve.errors import ErrorCode, coded, ensure_code
 from repro.serve.net.protocol import (
     MAX_FRAME_BYTES,
@@ -117,6 +118,10 @@ class AsyncServeServer:
         op frames export spans.  The context rides ``backend.submit``
         down the whole stack, so share one tracer between the server and
         a traced backend and edge and backend spans join under one id.
+        The edge then decides sampling for the whole stack: a request it
+        does not trace reaches the backend as
+        :data:`~repro.serve.backend.UNSAMPLED`, so no layer below births
+        a trace of its own for it.
     trace_sample:
         Auto-born traces sample 1-in-``trace_sample`` requests
         (deterministic stride, the monitor plane's ``sample`` dial); a
@@ -157,6 +162,8 @@ class AsyncServeServer:
         self.tracer = tracer
         self.trace_sample = int(trace_sample)
         self._trace_tick = itertools.count()  # loop-thread only
+        # what a request this edge did not sample passes down as trace=
+        self._no_trace = None if tracer is None else UNSAMPLED
         # one unified metrics surface: backend stats + edge counters +
         # span-ring accounting, all read at op time (never cached)
         self.metrics = MetricsRegistry().add_backend(backend).add_server(self)
@@ -421,7 +428,8 @@ class AsyncServeServer:
                 continue
             _, req_id, name, kind, arr, single, ctx = item
             try:
-                ticket = self.backend.submit(name, arr, kind, trace=ctx)
+                ticket = self.backend.submit(
+                    name, arr, kind, trace=self._no_trace if ctx is None else ctx)
             except BaseException as exc:
                 if ctx is not None:
                     _tag_trace(exc, ctx)

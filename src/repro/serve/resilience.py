@@ -53,7 +53,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.serve.backend import Backend, as_block
+from repro.serve.backend import UNSAMPLED, Backend, as_block
 from repro.serve.errors import CodedError, ErrorCode, classify_exception
 from repro.serve.monitor.policy import MonitorEvent
 from repro.serve.stats import ResilienceStats
@@ -250,10 +250,12 @@ class RetryController(Backend):
         function of the failure schedule).
     tracer:
         Optional :class:`~repro.serve.obs.trace.Tracer`.  When set, the
-        controller is where every untraced request's trace is born.
-        Without one, a request is traced only if it arrives with a
-        context (``submit(..., trace=)``) or the wrapped backend samples
-        it on the first attempt — so the wrapped backend's
+        controller decides sampling for every untraced request: one it
+        does not trace reaches the wrapped backend as
+        :data:`~repro.serve.backend.UNSAMPLED`, which births no trace
+        there either.  Without one, a request is traced only if it
+        arrives with a context (``submit(..., trace=)``) or the wrapped
+        backend samples it on the first attempt — so the wrapped backend's
         ``trace_sample`` holds behind the controller.  Either way every
         attempt reuses the one context.  Tracing is observational only —
         span recording cannot change a retry trajectory.
@@ -377,7 +379,9 @@ class RetryController(Backend):
         # (one the wrapped backend samples is adopted in _run), so a
         # recovered request's span dump reads end-to-end
         if trace is None and self._tracer is not None:
-            trace = self._sampled_trace()
+            # sampled out here means sampled out below too: the wrapped
+            # backend must not birth a second trace for this request
+            trace = self._sampled_trace() or UNSAMPLED
         # eager first attempt: wrapped traffic coalesces into the same
         # micro-batches as bare traffic.  Only through a *closed* breaker,
         # checked without acquiring: a half-open probe taken here would

@@ -34,7 +34,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.serve.backend import Backend, TapHost
+from repro.serve.backend import UNSAMPLED, Backend, TapHost
 from repro.serve.batcher import MicroBatcher, Ticket
 from repro.serve.errors import ErrorCode, coded
 from repro.serve.registry import ModelRegistry
@@ -168,10 +168,14 @@ class ServingGateway(TapHost, Backend):
         :class:`~repro.serve.obs.trace.TraceContext` (the net edge's);
         with none given and a ``tracer`` configured, a fresh context is
         born here — the in-process entry point of the stack — for every
-        ``trace_sample``-th submission.
+        ``trace_sample``-th submission; :data:`~repro.serve.backend.UNSAMPLED`
+        (an upstream layer sampled the request out) traces nothing.
         """
-        if trace is None and self._tracer is not None:
-            trace = self._sampled_trace()
+        if trace is None:
+            if self._tracer is not None:
+                trace = self._sampled_trace()
+        elif trace is UNSAMPLED:
+            trace = None
         if trace is not None:
             t0 = trace.now()
             ticket = self.service(name).submit(row, kind=kind, trace=trace)

@@ -30,9 +30,9 @@ multi-node cluster needs).  Channel failures surface as one typed
 :class:`~repro.serve.transport.TransportError` carrying the coded
 ``TRANSPORT_ERROR``, so the resilience plane classifies them through the
 taxonomy rather than pattern-matching ``BrokenPipeError``/``OSError``.
-Each worker answers its submissions **in FIFO order** — the same ticket
-semantics as :class:`~repro.serve.batcher.MicroBatcher` — and the parent
-completes a :class:`ClusterTicket` per response.  Registry mutations
+Each worker answers **in FIFO order**, one message per drained batch —
+the same ticket semantics as :class:`~repro.serve.batcher.MicroBatcher`
+— and the parent completes a :class:`ClusterTicket` per answer.  Registry mutations
 (register / promote / rollback / unregister) broadcast to every live
 shard through the same channel and wait for acknowledgement, so the
 version-keyed cache contract holds cluster-wide: after
@@ -52,20 +52,23 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import multiprocessing
 import pickle
-import queue
 import threading
 import time
+from collections import deque
 from typing import Any
 
 import numpy as np
 
-from repro.serve.backend import Backend, TapHost, as_block, empty_export, merge_export
+from repro.serve.backend import (UNSAMPLED, Backend, TapHost, as_block, empty_export,
+                                 merge_export)
 from repro.serve.batcher import _private_exception
 from repro.serve.errors import ErrorCode, coded
 from repro.serve.registry import ModelRegistry
 from repro.serve.router import ServingGateway
+from repro.serve.service import CompletedTicket
 from repro.serve.stats import ClusterStats
 from repro.serve.transport import (
     PipeTransport,
@@ -182,27 +185,27 @@ def _apply_control(registry: ModelRegistry, action: str, name: str, payload: Any
 
 
 def _worker_main(
-    shard_id: int,
     transport_spec: tuple,
     snapshot_bytes: bytes,
     gateway_kwargs: dict[str, Any],
-    result_timeout: float,
     trace_rings: int = 0,
 ) -> None:
-    """One shard: a gateway replica driven by its request transport.
+    """One shard: a gateway replica on one thread, driven by its channel.
 
     ``transport_spec`` is the picklable half of the channel —
     ``("pipe", conn)`` or ``("socket", (host, port), token)`` — resolved
     by :func:`~repro.serve.transport.make_worker_transport`; everything
-    below it is transport-agnostic.  A submission goes straight into the
-    gateway's micro-batcher and its ticket onto the responder queue.  The
-    loop is work-conserving: once a submission leaves the channel empty
-    (``transport.ready()`` is false) it scores everything pending inline
-    with ``gateway.flush()``, so a batch is whatever arrived while the
-    previous flush was scoring, and the batcher's ``max_delay`` deadline
-    is only a backstop here.  The responder thread completes tickets
-    strictly in arrival order, which is what gives the parent FIFO
-    response semantics per shard.
+    below it is transport-agnostic.  Each message puts one entry on a
+    FIFO: a submit's ticket, or the finished reply of a submit error or
+    an op.  Once a message leaves the channel empty
+    (``transport.ready()`` is false) the loop scores everything pending
+    with ``gateway.flush()`` and sends every entry, in arrival order, as
+    one message, so a batch is whatever arrived while the previous
+    flush was scoring.  While the channel stays busy it sends only the
+    finished prefix (cache hits, op replies), and flushes once the last
+    flush is ``max_delay`` old: the batchers run with ``math.inf`` (no
+    deadline thread), so the loop keeps the bound — no ticket waits
+    longer than ``max_delay`` plus the handling of one message.
 
     ``trace_rings > 0`` stands up a process-local
     :class:`~repro.serve.obs.trace.Tracer` (a tracer object itself does
@@ -224,38 +227,49 @@ def _worker_main(
         tracer = Tracer(ring_size=trace_rings)
     registry = ModelRegistry()
     registry.restore(pickle.loads(snapshot_bytes))
-    gateway = ServingGateway(registry, **gateway_kwargs)
-    send_lock = threading.Lock()
-    done_q: queue.SimpleQueue = queue.SimpleQueue()
+    max_delay = gateway_kwargs["max_delay"]
+    gateway = ServingGateway(registry, **{**gateway_kwargs, "max_delay": math.inf})
+    # (req_id, ticket or error, trace context, trace-clock enqueue time)
+    fifo: deque[tuple[int, Any, Any, float]] = deque()
 
-    def send(msg: tuple) -> None:
-        with send_lock:
+    def op_value(op: str, msg: tuple) -> Any:
+        if op == "flush":
+            return gateway.flush(msg[2])
+        if op == "stats":
+            return gateway.stats()
+        if op == "control":
+            _, _, action, name, payload = msg
+            return _apply_control(registry, action, name, payload)
+        if op == "obs":  # spans for the parent to join by trace id
+            return tracer.export(msg[2]) if tracer is not None else empty_export()
+        raise ValueError(f"unknown op {op!r}")
+
+    def answer(drained: bool) -> None:
+        """Send every entry after a flush, else the done prefix."""
+        out = []
+        while fifo:
+            req_id, item, ctx, t0 = fifo[0]
+            if isinstance(item, BaseException):
+                out.append(("err", req_id, _picklable_exception(item)))
+            elif drained or item.done():
+                try:
+                    value = item.result(0)  # done: never waits
+                except BaseException as exc:
+                    out.append(("err", req_id, _picklable_exception(exc)))
+                else:
+                    if ctx is not None:
+                        ctx.record("worker", "respond", t0, ctx.now())
+                    out.append(("ok", req_id, value))
+            else:
+                break
+            fifo.popleft()
+        if out:
             try:
-                transport.send(msg)
+                transport.send(tuple(out))
             except TransportError:
                 pass  # parent gone; nothing useful left to do with a result
 
-    def responder() -> None:
-        while True:
-            item = done_q.get()
-            if item is None:
-                return
-            req_id, ticket, ctx = item
-            try:
-                if ctx is not None:
-                    t0 = ctx.now()
-                    value = ticket.result(timeout=result_timeout)
-                    ctx.record("worker", "respond", t0, ctx.now())
-                    send(("ok", req_id, value))
-                else:
-                    send(("ok", req_id, ticket.result(timeout=result_timeout)))
-            except BaseException as exc:
-                send(("err", req_id, _picklable_exception(exc)))
-
-    resp_thread = threading.Thread(
-        target=responder, name=f"shard{shard_id}-responder", daemon=True
-    )
-    resp_thread.start()
+    last_flush = time.monotonic()
     try:
         while True:
             try:
@@ -276,47 +290,26 @@ def _worker_main(
                 try:
                     ticket = gateway.submit(name, row, kind, trace=ctx)
                 except BaseException as exc:
-                    send(("err", req_id, _picklable_exception(exc)))
+                    fifo.append((req_id, exc, None, 0.0))
                 else:
-                    done_q.put((req_id, ticket, ctx))
-                    if not transport.ready():
-                        gateway.flush()
-            elif op == "flush":
-                _, req_id, name = msg
-                try:
-                    send(("ok", req_id, gateway.flush(name)))
-                except BaseException as exc:
-                    send(("err", req_id, _picklable_exception(exc)))
-            elif op == "stats":
-                try:
-                    send(("ok", msg[1], gateway.stats()))
-                except BaseException as exc:
-                    send(("err", msg[1], _picklable_exception(exc)))
-            elif op == "control":
-                _, req_id, action, name, payload = msg
-                try:
-                    send(("ok", req_id, _apply_control(registry, action, name, payload)))
-                except BaseException as exc:
-                    send(("err", req_id, _picklable_exception(exc)))
-            elif op == "obs":
-                # export this worker's recorded spans (optionally one
-                # trace's) so the parent can reassemble cross-process
-                # traces by id; JSON-safe, so it rides any transport
-                _, req_id, tid = msg
-                try:
-                    send(("ok", req_id, tracer.export(tid) if tracer is not None
-                          else empty_export()))
-                except BaseException as exc:
-                    send(("err", req_id, _picklable_exception(exc)))
+                    fifo.append((req_id, ticket, ctx, 0.0 if ctx is None else ctx.now()))
             else:
-                send(("err", msg[1], ValueError(f"unknown op {op!r}")))
+                try:
+                    item = CompletedTicket(op_value(op, msg))
+                except BaseException as exc:
+                    item = exc
+                fifo.append((msg[1], item, None, 0.0))
+            drained = not transport.ready() or time.monotonic() - last_flush >= max_delay
+            if drained:
+                gateway.flush()
+                last_flush = time.monotonic()
+            answer(drained)
     finally:
         try:
             gateway.close()  # completes every in-flight ticket first
         except BaseException:
             pass
-        done_q.put(None)  # after close: the responder drains real work first
-        resp_thread.join(timeout=result_timeout)
+        answer(drained=True)
         transport.close()
 
 
@@ -388,7 +381,7 @@ class _ShardHandle:
         self.shard_id = shard_id
         self.process = process
         self.transport = transport
-        self.lock = threading.Lock()  # guards pending, next_req, alive, and sends
+        self.lock = threading.Lock()  # next_req, alive, sends, pending (not reader pops)
         self.pending: dict[int, ClusterTicket] = {}
         self.next_req = 0
         self.alive = True
@@ -429,9 +422,9 @@ class ShardedServingCluster(TapHost, Backend):
         Per-shard gateway defaults (each worker's per-name services are
         created from these, exactly as in a single-process gateway).
     request_timeout:
-        Worker-side cap on how long a responder waits for one ticket
-        before answering with an error — a wedged flush must not dam the
-        FIFO response stream forever.
+        Parent-side budget shared by one fan-out (``stats``, ``flush``,
+        ``trace_spans``, broadcasts): a shard still silent when it is
+        spent is skipped as wedged.
     tracer:
         Optional parent-side :class:`~repro.serve.obs.trace.Tracer`.
         When set, traced submissions record ``route`` and
@@ -547,8 +540,7 @@ class ShardedServingCluster(TapHost, Backend):
             parent_end = parent_conn
         process = self._ctx.Process(
             target=_worker_main,
-            args=(shard_id, spec, snapshot_bytes, self._gateway_kwargs,
-                  self.request_timeout, self._trace_rings),
+            args=(spec, snapshot_bytes, self._gateway_kwargs, self._trace_rings),
             name=f"serve-shard-{shard_id}",
             daemon=True,
         )
@@ -569,7 +561,7 @@ class ShardedServingCluster(TapHost, Backend):
         return handle
 
     def _reader(self, handle: _ShardHandle) -> None:
-        """Complete tickets from one shard's response stream; when the
+        """Complete tickets from one shard's batched answers; when the
         stream ends — a :class:`TransportError` from a worker exit/kill,
         *or* any unexpected decode failure — fail everything still
         pending.  The cleanup is a ``finally`` because a reader that dies
@@ -578,24 +570,25 @@ class ShardedServingCluster(TapHost, Backend):
         try:
             while True:
                 try:
-                    msg = handle.transport.recv()
+                    answers = handle.transport.recv()
                 except TransportError:
                     break
-                tag, req_id, payload = msg
-                with handle.lock:
-                    ticket = handle.pending.pop(req_id, None)
-                if ticket is None:
-                    continue  # late reply after a crash-fail; ticket already errored
-                ctx = ticket.trace
-                if ctx is not None:
-                    # transport = parent send → worker response landed,
-                    # both ends read on the parent's clock
-                    ctx.record("cluster", "transport", ticket.trace_t0,
-                               ctx.now(), meta={"shard": handle.shard_id})
-                if tag == "ok":
-                    ticket._complete(payload, None)
-                else:
-                    ticket._complete(None, payload)
+                # atomic pops, no handle.lock: a sender may hold it, blocked
+                # on a full channel, while the worker waits on this reader
+                tickets = [handle.pending.pop(req_id, None) for _, req_id, _ in answers]
+                for (tag, _, payload), ticket in zip(answers, tickets):
+                    if ticket is None:
+                        continue  # late reply after a crash-fail; ticket already errored
+                    ctx = ticket.trace
+                    if ctx is not None:
+                        # transport = parent send → worker response landed,
+                        # both ends read on the parent's clock
+                        ctx.record("cluster", "transport", ticket.trace_t0,
+                                   ctx.now(), meta={"shard": handle.shard_id})
+                    if tag == "ok":
+                        ticket._complete(payload, None)
+                    else:
+                        ticket._complete(None, payload)
         finally:
             with handle.lock:
                 handle.alive = False
@@ -755,10 +748,14 @@ class ShardedServingCluster(TapHost, Backend):
         any remaining live shard).  ``trace`` adopts an inbound
         :class:`~repro.serve.obs.trace.TraceContext`; with none given and
         a ``tracer`` configured, the trace is born here for every
-        ``trace_sample``-th submission."""
+        ``trace_sample``-th submission; :data:`~repro.serve.backend.UNSAMPLED`
+        (an upstream layer sampled the request out) traces nothing."""
         arr = np.asarray(row, dtype=float)
-        if trace is None and self._tracer is not None:
-            trace = self._sampled_trace()
+        if trace is None:
+            if self._tracer is not None:
+                trace = self._sampled_trace()
+        elif trace is UNSAMPLED:
+            trace = None
         t0 = trace.now() if trace is not None else 0.0
         if self.route == "hash":
             handle = self._shards[self.shard_of(name)]
@@ -798,6 +795,8 @@ class ShardedServingCluster(TapHost, Backend):
             return self.submit(name, X, kind, trace=trace)
         if trace is None and self._tracer is not None:
             trace = self._sampled_trace()
+        elif trace is UNSAMPLED:
+            trace = None
         n_live = len(self.live_shards())
         n_parts = max(1, min(max(1, n_live), X.shape[0]))
         # each part routes through the dead-shard-absorbing path: a worker

@@ -8,11 +8,13 @@ shape, edge → ``RetryController`` → 2-shard cluster, is driven over the
 wire: its ``metrics`` op reads the cluster and the controller, and one
 tracer shared by edge and cluster joins edge, cluster and worker spans
 under one trace id.  Behind a retry controller the wrapped cluster's
-``trace_sample`` holds: a trace is born once, where it is sampled.
+``trace_sample`` holds: a trace is born once, where it is sampled — and
+an edge that shares the cluster's tracer decides for the whole stack.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from contextlib import contextmanager
 
@@ -28,6 +30,7 @@ from repro.serve import (
     ShardedServingCluster,
     Tracer,
 )
+from repro.serve.backend import UNSAMPLED
 from repro.serve.errors import ErrorCode, classify_exception
 from repro.serve.net import AsyncServeServer, ServeClient
 
@@ -214,3 +217,39 @@ def test_retry_honours_the_wrapped_trace_sample(registry, forest):
         assert len(attempts) == 2  # both attempts ride the one trace
         assert retry.trace_id not in births
         assert rc.stats().retries == 1
+
+
+@pytest.mark.shard
+@pytest.mark.net
+@pytest.mark.obs
+def test_the_edge_samples_once_for_the_whole_stack(registry, forest):
+    # edge -> RetryController -> cluster, one tracer, stride 4 at both
+    # ends: a request the edge samples out must not be born again below
+    tracer = Tracer()
+    rows = _rows(30, seed=7)
+    with ShardedServingCluster(registry, n_shards=1, max_batch=8, max_delay=0.005,
+                               tracer=tracer, trace_sample=4) as cluster:
+        rc = RetryController(cluster, deadline_s=30.0)
+        with AsyncServeServer(rc, tracer=tracer, trace_sample=4) as edge, \
+                ServeClient(edge.host, edge.port) as client:
+            for row in rows:
+                client.send("forest", row)
+            got = np.array(client.drain())
+    assert np.array_equal(got, _per_row(forest, rows))
+    traced = {s.trace_id for s in tracer.spans()}
+    assert len(traced) == math.ceil(len(rows) / 4)
+    assert {s.trace_id for s in tracer.spans(component="cluster")} == traced
+
+
+@pytest.mark.obs
+def test_an_unsampled_request_traces_nothing_below(registry, forest):
+    # a gateway that would trace every request (stride 1) honours the
+    # upstream decision, directly and through a retry controller
+    tracer = Tracer()
+    row = _rows(1, seed=8)[0]
+    with ServingGateway(registry, max_batch=8, max_delay=0.005, tracer=tracer) as gw:
+        rc = RetryController(gw, deadline_s=30.0)
+        for backend in (gw, rc):
+            assert backend.submit("forest", row, trace=UNSAMPLED).result(30.0) == \
+                _per_row(forest, [row])[0]
+    assert tracer.spans() == []

@@ -7,6 +7,7 @@ perturb predictions, and the cache must never serve across a version
 boundary.
 """
 
+import math
 import pickle
 import threading
 import time
@@ -410,6 +411,18 @@ class TestMicroBatcher:
         row = _data(n=1, seed=21)[0][0]
         with MicroBatcher(gbm, max_batch=10_000, max_delay=600.0) as mb:
             ticket = mb.submit(row)
+            mb.set_limits(max_delay=0.02)
+            assert ticket.result(timeout=5.0) == gbm.predict(row[None, :])[0]
+            assert mb.counters()["deadline_flushes"] == 1
+
+    def test_an_infinite_max_delay_starts_no_timer(self, gbm):
+        """``max_delay=math.inf`` is how an owner that flushes itself (a
+        shard worker) opts out of the deadline thread; a later finite
+        ``set_limits`` arms one for what is already queued."""
+        row = _data(n=1, seed=22)[0][0]
+        with MicroBatcher(gbm, max_batch=10_000, max_delay=math.inf) as mb:
+            ticket = mb.submit(row)
+            assert mb._timer is None and not ticket.done()
             mb.set_limits(max_delay=0.02)
             assert ticket.result(timeout=5.0) == gbm.predict(row[None, :])[0]
             assert mb.counters()["deadline_flushes"] == 1

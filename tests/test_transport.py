@@ -10,6 +10,7 @@ buffer, every channel failure must surface as the one coded
 on one socket cluster each see their own stream in order.
 """
 
+import os
 import pickle
 import socket
 import struct
@@ -69,6 +70,15 @@ class LinearModel:
         mean = np.array([float(np.dot(r, self.w)) for r in X])
         var = np.array([float(np.dot(r**2, self.w2)) + 1.0 for r in X])
         return mean, var
+
+
+class SlowBlockModel(LinearModel):
+    """Scoring a multi-row block takes 0.3 s; single rows stay fast."""
+
+    def predict(self, X):
+        if np.asarray(X).shape[0] > 1:
+            time.sleep(0.3)
+        return super().predict(X)
 
 
 def _rows(n, seed=0):
@@ -415,6 +425,64 @@ class TestClusterTransportIdentity:
             assert cluster.stats().total.deadline_flushes == 0
         assert got == float(models["alpha"].predict(row[None, :])[0])
 
+    @pytest.mark.parametrize("transport", ["pipe", "socket"])
+    def test_a_submit_then_an_op_does_not_wait_out_max_delay(self, transport):
+        # the op reply leaves the channel empty: the worker must flush
+        # then too, not only after a submit
+        reg = ModelRegistry()
+        model = SlowBlockModel()
+        reg.register("slow", model, promote=True)
+        rows = _rows(5, seed=24)
+        with _cluster(reg, n_shards=1, max_delay=600.0, transport=transport) as cluster:
+            cluster.stats()  # a round trip: the worker is up
+            block = cluster.submit_block("slow", rows[:4])
+            ticket = cluster.submit("slow", rows[4])
+            cluster.stats()
+            assert ticket.result(timeout=3.0) == float(model.predict(rows[4:])[0])
+            assert np.array_equal(block.result(timeout=3.0), model.predict(rows[:4]))
+
+    @pytest.mark.parametrize("transport", ["pipe", "socket"])
+    def test_a_burst_is_answered_in_fewer_messages_in_submit_order(self, transport):
+        reg = ModelRegistry()
+        model = SlowBlockModel()
+        reg.register("slow", model, promote=True)
+        rows = _rows(40, seed=25)
+        with _cluster(reg, n_shards=1, max_delay=600.0, transport=transport) as cluster:
+            handle = cluster._shards[0]
+            answers: list[list[int]] = []
+            recv = handle.transport.recv
+
+            def counting_recv():
+                msg = recv()
+                answers.append([req_id for _, req_id, _ in msg])
+                return msg
+
+            handle.transport.recv = counting_recv
+            cluster.stats()  # the reader's next recv() is the counting one
+            answers.clear()
+            # the slow block holds the worker while the burst queues up
+            block = cluster.submit_block("slow", rows[:4])
+            singles = [cluster.submit("slow", r) for r in rows[4:20]]
+            unknown = cluster.submit("no-such-model", rows[20])
+            singles += [cluster.submit("slow", r) for r in rows[21:]]
+            got = [t.result(timeout=30.0) for t in singles]
+            assert np.array_equal(block.result(timeout=30.0), model.predict(rows[:4]))
+            with pytest.raises(LookupError) as err:
+                unknown.result(timeout=30.0)
+            assert code_of(err.value) is ErrorCode.UNKNOWN_MODEL
+            req_ids = [r for msg in answers for r in msg]
+            assert req_ids == sorted(req_ids)  # FIFO, the error in its place
+            assert len(req_ids) == 1 + 36
+            assert len(answers) < 36  # one message per drain, not per row
+            status = f"/proc/{handle.process.pid}/status"
+            if os.path.exists(status):
+                with open(status) as fh:
+                    threads = [ln for ln in fh if ln.startswith("Threads:")]
+                assert threads == ["Threads:\t1\n"]  # no responder, no timer
+        ref = [float(model.predict(r[None, :])[0])
+               for r in np.concatenate([rows[4:20], rows[21:]])]
+        assert got == ref
+
     def test_replicated_block_fanout_socket_identical(self):
         reg, models = _registry()
         X = _rows(97, seed=22)  # odd count: uneven chunks must reassemble
@@ -506,6 +574,37 @@ class TestConcurrentSubmitters:
             assert len(got) == n_rows  # lossless
             ref = [float(models[name].predict(r[None, :])[0]) for r in rows]
             assert got == ref  # in order and bit-identical
+
+    @pytest.mark.parametrize("transport", ["pipe", "socket"])
+    def test_concurrent_large_blocks_do_not_deadlock(self, transport):
+        """Blocks and answers bigger than the channel's buffers, from
+        three threads at once: the worker sends its own answers, so the
+        parent's reader must never wait behind a sender that is blocked
+        on a full channel."""
+        reg, models = _registry(("alpha",))
+        X = _rows(60_000, seed=26)
+        ref = models["alpha"].predict(X)
+        results, errors = [], []
+        with _cluster(reg, n_shards=1, transport=transport) as cluster:
+
+            def submitter():
+                try:
+                    for _ in range(3):
+                        results.append(cluster.predict_block("alpha", X, timeout=10.0))
+                except Exception as exc:  # pragma: no cover - diagnostic
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=submitter, daemon=True) for _ in range(3)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30.0)
+            stuck = any(th.is_alive() for th in threads)
+            if stuck:
+                cluster.kill_shard(0)  # frees the blocked senders, so close() returns
+        assert not stuck
+        assert not errors, errors
+        assert len(results) == 9 and all(np.array_equal(r, ref) for r in results)
 
 
 # ---------------------------------------------------------------------- #
