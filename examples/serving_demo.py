@@ -14,9 +14,8 @@ Walks the full serving story on a simulated Theta workload:
    the same request get the new answer, then **rollback**,
 5. front *two* per-system models (Theta + Cori — per-system drift, §VIII)
    with one :class:`~repro.serve.router.ServingGateway`, promote and roll
-   back the Theta model **while traffic flows** to both, and let the
-   :class:`~repro.serve.adaptive.AdaptiveBatchTuner` steer each name's
-   batch limits toward a latency target,
+   back the Theta model **while traffic flows** to both, with a per-name
+   batch limit set before the name's first request,
 6. scale past one process: a two-shard
    :class:`~repro.serve.shard.ShardedServingCluster` warm-starts gateway
    replicas from the same registry (pickled frozen models), hash-routes
@@ -46,7 +45,6 @@ from repro.data import build_dataset, feature_matrix, temporal_split
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.uncertainty import epistemic_sample
 from repro.serve import (
-    AdaptiveBatchTuner,
     InferenceService,
     ModelRegistry,
     MonitoringPlane,
@@ -115,8 +113,6 @@ registry.register("cori-throughput", cori_model, promote=True)
 
 with ServingGateway(registry, max_batch=64, max_delay=0.005) as gw:
     gw.configure("cori-throughput", max_batch=32)  # per-name override
-    tuner = AdaptiveBatchTuner(gw, target_latency_ms=5.0, interval_s=0.05)
-    tuner.start()
 
     theta_rows, cori_rows = X[test[:200]], Xc[2000:2200]
     stop = threading.Event()
@@ -148,7 +144,6 @@ with ServingGateway(registry, max_batch=64, max_delay=0.005) as gw:
     stop.set()
     for t in pumps:
         t.join()
-    tuner.stop()
     assert not errors, errors
 
     # quiesced: each name still answers bit-identically to its own model
@@ -159,9 +154,8 @@ with ServingGateway(registry, max_batch=64, max_delay=0.005) as gw:
         cori_model.predict(cori_probe[None, :])[0]
     print("gateway served 2 models through promote/rollback under traffic, zero errors")
     print(gw.stats().summary())
-    print(f"tuner made {len(tuner.history)} adjustments; final limits: " + ", ".join(
-        f"{n}: batch={b}, delay={1e3 * d:.2f}ms"
-        for n, (b, d) in sorted(tuner.limits().items())
+    print("per-name limits: " + ", ".join(
+        f"{n}: batch={gw.service(n).batcher.max_batch}" for n in gw.names()
     ))
 
 # --- sharded cluster: the same registry served from worker processes -- #

@@ -8,8 +8,7 @@ results, and duplicate requests — pervasive in HPC I/O telemetry (§VI.A)
 — are answered from a version-keyed :class:`PredictionCache`.
 :class:`InferenceService` wires the three together behind one ``submit``
 for a single name; :class:`ServingGateway` fronts the whole registry with
-lazily-created per-name services, and :class:`AdaptiveBatchTuner` steers
-every live batcher's ``max_batch``/``max_delay`` toward a latency target.
+lazily-created per-name services.
 :class:`ShardedServingCluster` scales the whole stack past one process:
 N worker gateways warm-started from pickled frozen models, hash or
 replicated routing, broadcast registry mutations, and crash containment —
@@ -53,7 +52,6 @@ the plane on or off, ≤ 5 % overhead gated by
 ``python benchmarks/bench_serve.py``.
 """
 
-from repro.serve.adaptive import AdaptiveBatchTuner, TuningDecision
 from repro.serve.backend import Backend
 from repro.serve.batcher import MicroBatcher, Ticket
 from repro.serve.cache import PredictionCache, request_digest
@@ -118,7 +116,6 @@ from repro.serve.transport import (
 )
 
 __all__ = [
-    "AdaptiveBatchTuner",
     "AsyncServeServer",
     "Backend",
     "COMPONENTS",
@@ -167,7 +164,6 @@ __all__ = [
     "Tracer",
     "Transport",
     "TransportError",
-    "TuningDecision",
     "UncertaintyTap",
     "classify_exception",
     "code_of",

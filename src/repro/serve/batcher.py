@@ -13,10 +13,10 @@ them FIFO, and flushes on whichever trigger fires first:
   traffic is sparse.  A batcher built with ``max_delay=math.inf`` starts
   no timer: its owner flushes (the shard worker's loop does).
 
-A flush snapshots the queue in arrival order, groups requests by kind
-(``predict`` / ``predict_dist``), and scores the groups through
-:func:`repro.parallel.pool.parallel_map` with the thread backend; each
-group rides one batch-of-batches estimator call (``predict_many``).
+Both limits are fixed at construction.  A flush snapshots the queue in
+arrival order, groups requests by kind (``predict`` / ``predict_dist``),
+and scores the groups in order of first arrival; each group rides one
+batch-of-batches estimator call (``predict_many``).
 Because every sample is routed through the arena independently, each
 request's result is **bit-identical** to calling the model on that request
 alone — batching is invisible in the numbers, exactly like the packed
@@ -29,12 +29,11 @@ import copy
 import math
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from typing import Any, Callable
 
 import numpy as np
 
-from repro.parallel.pool import parallel_map
 from repro.serve.errors import ErrorCode, coded, ensure_code
 
 __all__ = ["MicroBatcher", "Ticket"]
@@ -138,11 +137,6 @@ class MicroBatcher:
     max_delay:
         Seconds the oldest request may wait before a deadline flush;
         ``math.inf`` means never (no timer thread is started).
-        Both limits are mutable on a live batcher, but only through
-        :meth:`set_limits` (they are read under the queue lock).
-    n_jobs:
-        Workers for scoring the per-kind groups of one flush through
-        ``parallel_map(backend="thread")``.
     on_result:
         Optional ``fn(ticket, value)`` called before a ticket completes —
         the prediction cache's insertion hook.
@@ -153,7 +147,6 @@ class MicroBatcher:
         model_fn: Callable[[], Any] | Any,
         max_batch: int = 256,
         max_delay: float = 0.005,
-        n_jobs: int | None = 1,
         on_result: Callable[[Ticket, Any], None] | None = None,
     ):
         if max_batch < 1:
@@ -163,7 +156,6 @@ class MicroBatcher:
         self._model_fn = model_fn if callable(model_fn) else (lambda: model_fn)
         self.max_batch = int(max_batch)
         self.max_delay = float(max_delay)
-        self.n_jobs = n_jobs
         self._on_result = on_result
 
         self._lock = threading.Lock()
@@ -310,44 +302,6 @@ class MicroBatcher:
                     return False
             return True
 
-    def set_limits(
-        self, max_batch: int | None = None, max_delay: float | None = None
-    ) -> None:
-        """Retune the flush triggers on a live batcher (the adaptive tuner's
-        write path).
-
-        Both limits are read under ``_lock`` by ``submit`` and the deadline
-        timer, so they may only be written under it — never assign
-        ``max_batch``/``max_delay`` directly on a running batcher.  A new
-        ``max_delay`` retargets every pending ticket's deadline from its
-        enqueue time (deadlines stay FIFO-monotonic because enqueue times
-        are); a ``max_batch`` at or below the pending row count fires a size
-        flush immediately, scored inline by the caller.
-        """
-        # validate both before assigning either — a half-applied update
-        # would leave a satisfied size trigger that never fires
-        if max_batch is not None and max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        if max_delay is not None and max_delay <= 0:
-            raise ValueError("max_delay must be > 0")
-        batch: list[Ticket] | None = None
-        with self._lock:
-            if max_batch is not None:
-                self.max_batch = int(max_batch)
-            if max_delay is not None:
-                self.max_delay = float(max_delay)
-                for t in self._pending:
-                    t.deadline = t.enqueued_at + self.max_delay
-            if self._pending_rows >= self.max_batch and self._pending:
-                batch = self._drain_locked()
-                self.size_flushes += 1
-            else:
-                if self._pending:
-                    self._arm_timer_locked()  # an inf → finite retune needs one
-                self._cond.notify_all()  # timer re-reads the head deadline
-        if batch:
-            self._process(batch)
-
     def counters(self) -> dict[str, float]:
         with self._lock:
             return {
@@ -433,9 +387,7 @@ class MicroBatcher:
                         continue
                     wait = self._pending[0].deadline - time.monotonic()
                     if wait > 0:
-                        # an infinite deadline (set_limits to inf) waits
-                        # for a notify: Condition.wait rejects inf
-                        self._cond.wait(None if wait == math.inf else wait)
+                        self._cond.wait(wait)
                         continue
                     batch = self._drain_locked()
                     self.deadline_flushes += 1
@@ -461,18 +413,14 @@ class MicroBatcher:
         thread.start()
 
     def _process(self, batch: list[Ticket]) -> None:
-        groups: OrderedDict[str, list[Ticket]] = OrderedDict()
+        groups: dict[str, list[Ticket]] = {}  # kinds in order of first arrival
         for t in batch:
             groups.setdefault(t.kind, []).append(t)
         try:
             try:
                 model = self._model_fn()
-                scored = parallel_map(
-                    lambda kt: self._score_group_isolated(model, *kt),
-                    list(groups.items()),
-                    workers=self.n_jobs,
-                    backend="thread",
-                )
+                scored = [self._score_group_isolated(model, kind, tickets)
+                          for kind, tickets in groups.items()]
             except BaseException as exc:  # model resolution failed: everyone waits on it
                 ensure_code(exc, ErrorCode.MODEL_RESOLUTION_FAILED)
                 for t in batch:

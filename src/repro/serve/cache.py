@@ -29,7 +29,11 @@ def request_digest(block: np.ndarray) -> bytes:
     """Content digest of one request block (dtype, shape, raw bytes)."""
     block = np.ascontiguousarray(block)
     h = hashlib.blake2b(digest_size=16)
-    h.update(str(block.dtype).encode())
+    dtype = block.dtype
+    # ``dtype.str`` is ~20x cheaper than ``str(dtype)``, but it reads
+    # ``|V<n>`` for every structured dtype of one itemsize, so those keep
+    # the full field description
+    h.update((dtype.str if dtype.names is None else str(dtype)).encode())
     h.update(str(block.shape).encode())
     h.update(block.tobytes())
     return h.digest()

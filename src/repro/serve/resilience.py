@@ -33,8 +33,7 @@ request scores, never *what* it returns):
   supervisor rebuilds it.
 * :class:`ShardSupervisor` — the control loop that makes "transient"
   true.  It watches worker liveness (daemon thread in production,
-  hand-stepped under an injected clock in tests, exactly like
-  :class:`~repro.serve.adaptive.AdaptiveBatchTuner`), respawns dead
+  hand-stepped under an injected clock in tests), respawns dead
   shards from the current parent snapshot, and backs off exponentially
   per shard when a respawn storms (a worker that dies right back gets a
   doubling delay, capped, reset once it stays up).  Every detection and
@@ -526,7 +525,7 @@ class ShardSupervisor:
     ``respawn(shard_ids)``), so determinism tests drive it against a stub
     with a hand-cranked clock.  :meth:`step` is one control pass;
     :meth:`start` runs it from a daemon thread every ``check_interval_s``
-    (production mode, same split as the adaptive tuner).
+    (production mode).
 
     Respawn-storm backoff is per shard: the first respawn of a freshly
     dead worker is immediate, but a shard that keeps dying waits

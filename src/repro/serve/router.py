@@ -8,8 +8,8 @@ name lazily stands up a dedicated
 :class:`~repro.serve.service.InferenceService` (its own micro-batcher and
 prediction cache), so one name's traffic shape — or one name's malformed
 requests — never perturbs another's batches.  Per-name configuration
-overrides apply at service creation and, for the mutable batcher limits,
-to live services; :meth:`stats` rolls every service's counters into one
+overrides apply at service creation, so a live service's limits never
+change; :meth:`stats` rolls every service's counters into one
 :class:`~repro.serve.stats.GatewayStats`; :meth:`close` tears the fleet
 down in one call.
 
@@ -35,7 +35,7 @@ from typing import Any
 import numpy as np
 
 from repro.serve.backend import UNSAMPLED, Backend, TapHost
-from repro.serve.batcher import MicroBatcher, Ticket
+from repro.serve.batcher import Ticket
 from repro.serve.errors import ErrorCode, coded
 from repro.serve.registry import ModelRegistry
 from repro.serve.service import CompletedTicket, InferenceService
@@ -43,10 +43,8 @@ from repro.serve.stats import GatewayStats
 
 __all__ = ["ServingGateway"]
 
-# per-name override keys; the batcher limits stay mutable on a live
-# service (via MicroBatcher.set_limits), the structural ones do not
-_MUTABLE_KEYS = frozenset({"max_batch", "max_delay"})
-_CONFIG_KEYS = _MUTABLE_KEYS | {"cache_entries", "n_jobs"}
+# per-name override keys, read once when the name's service is created
+_CONFIG_KEYS = frozenset({"max_batch", "max_delay", "cache_entries"})
 
 
 class ServingGateway(TapHost, Backend):
@@ -58,7 +56,7 @@ class ServingGateway(TapHost, Backend):
         The shared :class:`~repro.serve.registry.ModelRegistry`.  The
         gateway never registers or promotes — rollout stays a registry
         concern; it only reads.
-    max_batch, max_delay, cache_entries, n_jobs:
+    max_batch, max_delay, cache_entries:
         Defaults for every lazily-created per-name service; override
         per name with :meth:`configure`.
     tracer:
@@ -84,7 +82,6 @@ class ServingGateway(TapHost, Backend):
         max_batch: int = 256,
         max_delay: float = 0.005,
         cache_entries: int = 4096,
-        n_jobs: int | None = 1,
         tracer: Any = None,
         trace_sample: int = 1,
     ):
@@ -95,7 +92,6 @@ class ServingGateway(TapHost, Backend):
             "max_batch": int(max_batch),
             "max_delay": float(max_delay),
             "cache_entries": int(cache_entries),
-            "n_jobs": n_jobs,
         }
         self._overrides: dict[str, dict[str, Any]] = {}
         self._services: dict[str, InferenceService] = {}
@@ -105,13 +101,11 @@ class ServingGateway(TapHost, Backend):
     # ------------------------------------------------------------------ #
     def configure(self, name: str, **overrides: Any) -> None:
         """Set per-name service options (``max_batch``, ``max_delay``,
-        ``cache_entries``, ``n_jobs``).
+        ``cache_entries``) before the name's service is created.
 
-        Overrides stick for the name's (re-)creation; on an already-live
-        service the mutable batcher limits apply immediately through
-        :meth:`MicroBatcher.set_limits`, while the structural options
-        (``cache_entries``, ``n_jobs``) are refused — they cannot change
-        under traffic.
+        The overrides apply when the service is created on the name's
+        first request.  Once it is live they are refused: its batch
+        limits are fixed at construction.
         """
         bad = set(overrides) - _CONFIG_KEYS
         if bad:
@@ -125,19 +119,11 @@ class ServingGateway(TapHost, Backend):
         if overrides.get("cache_entries") is not None and overrides["cache_entries"] < 1:
             raise ValueError("cache_entries must be >= 1")
         with self._lock:
-            svc = self._services.get(name)
-            if svc is not None:
-                frozen = set(overrides) - _MUTABLE_KEYS
-                if frozen:
-                    raise ValueError(
-                        f"{sorted(frozen)} cannot change on the live service for {name!r}"
-                    )
+            if overrides and name in self._services:
+                raise ValueError(
+                    f"{sorted(overrides)} cannot change on the live service for {name!r}"
+                )
             self._overrides.setdefault(name, {}).update(overrides)
-        if svc is not None and overrides:
-            svc.batcher.set_limits(
-                max_batch=overrides.get("max_batch"),
-                max_delay=overrides.get("max_delay"),
-            )
 
     def service(self, name: str) -> InferenceService:
         """The per-name service, created on first use."""
@@ -212,11 +198,6 @@ class ServingGateway(TapHost, Backend):
         """Names with a live service (a subset of the registry's names)."""
         with self._lock:
             return sorted(self._services)
-
-    def batchers(self) -> dict[str, MicroBatcher]:
-        """Live per-name batchers — the adaptive tuner's read/write view."""
-        with self._lock:
-            return {name: svc.batcher for name, svc in self._services.items()}
 
     def stats(self) -> GatewayStats:
         """Per-name snapshots plus their aggregate (see

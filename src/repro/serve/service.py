@@ -50,7 +50,6 @@ class InferenceService:
         max_batch: int = 256,
         max_delay: float = 0.005,
         cache_entries: int = 4096,
-        n_jobs: int | None = 1,
         on_scored: Any = None,
     ):
         self.registry = registry
@@ -67,7 +66,6 @@ class InferenceService:
             self._resolve,
             max_batch=max_batch,
             max_delay=max_delay,
-            n_jobs=n_jobs,
             on_result=self._insert_result,
         )
         registry.add_listener(self._on_stage_change)

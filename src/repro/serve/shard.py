@@ -418,7 +418,7 @@ class ShardedServingCluster(TapHost, Backend):
         protocol on a loopback TCP socket (token-handshaked, binary
         ndarray frames) — bit-identical results, multi-node-shaped
         plumbing.  See :mod:`repro.serve.transport`.
-    max_batch, max_delay, cache_entries, n_jobs:
+    max_batch, max_delay, cache_entries:
         Per-shard gateway defaults (each worker's per-name services are
         created from these, exactly as in a single-process gateway).
     request_timeout:
@@ -457,7 +457,6 @@ class ShardedServingCluster(TapHost, Backend):
         max_batch: int = 256,
         max_delay: float = 0.005,
         cache_entries: int = 4096,
-        n_jobs: int | None = 1,
         request_timeout: float = 60.0,
         tracer: Any = None,
         trace_sample: int = 1,
@@ -482,7 +481,6 @@ class ShardedServingCluster(TapHost, Backend):
             "max_batch": int(max_batch),
             "max_delay": float(max_delay),
             "cache_entries": int(cache_entries),
-            "n_jobs": n_jobs,
         }
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()

@@ -122,6 +122,10 @@ class PipeTransport(Transport):
 
     def __init__(self, conn: Any):
         self._conn = conn
+        # built on the first ready(), in the process that asks: one kept
+        # select.poll instead of the selector Connection.poll(0) builds
+        # per call
+        self._poller: Any = None
 
     def send(self, msg: tuple) -> None:
         try:
@@ -136,10 +140,16 @@ class PipeTransport(Transport):
             raise TransportError(f"pipe closed: {exc}") from exc
 
     def ready(self) -> bool:
+        if self._conn.closed:
+            return True  # our end is closed (its fd may be reused): recv raises
         try:
-            return self._conn.poll(0)  # also True at EOF
+            if self._poller is None:
+                self._poller = select.poll()
+                self._poller.register(self._conn.fileno(), select.POLLIN)
+            # any event counts: POLLHUP/POLLERR/POLLNVAL mean recv raises
+            return bool(self._poller.poll(0))
         except (OSError, ValueError):
-            return True  # our end is closed: recv raises at once
+            return True
 
     def close(self) -> None:
         try:

@@ -7,9 +7,8 @@ excluded while still running in the default tier-1 sweep:
   cache, service); every serve-stack test carries it, so
   ``-m "serve or gateway or shard"`` (the verify skill's smoke target) is
   the one-flag serve regression gate.
-* ``gateway`` — multi-model :class:`ServingGateway` routing plus the
-  :class:`AdaptiveBatchTuner` (including the hypothesis property suites,
-  which drive the tuner with an injected clock and fake batchers).
+* ``gateway`` — multi-model :class:`ServingGateway` routing, per-name
+  configuration and fleet-wide stats.
 * ``shard`` — the process-sharded :class:`ShardedServingCluster`: worker
   warm-start from pickled frozen models, hash/replicated routing,
   broadcast mutations, crash containment.  These tests fork worker
@@ -60,7 +59,7 @@ def pytest_configure(config):
     )
     config.addinivalue_line(
         "markers",
-        "gateway: multi-model serving gateway + adaptive tuner tests; tier-1",
+        "gateway: multi-model serving gateway tests; tier-1",
     )
     config.addinivalue_line(
         "markers",

@@ -1,11 +1,9 @@
-"""Tests for the multi-model serving gateway and adaptive batch tuner.
+"""Tests for the multi-model serving gateway.
 
 The gateway adds routing, never arithmetic: every name's answers must be
 bit-identical (``np.array_equal``) to direct predicts on that name's
 production model, no matter how the per-name streams interleave or how
-badly one name's clients misbehave.  The tuner is exercised against fake
-batchers whose latency is a pure function of their limits, plus a fake
-clock — its AIMD trajectory is fully deterministic and sleeps nowhere.
+badly one name's clients misbehave.
 """
 
 import sys
@@ -17,7 +15,6 @@ import pytest
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.gbm import GradientBoostingRegressor
 from repro.serve import (
-    AdaptiveBatchTuner,
     GatewayStats,
     ModelRegistry,
     ServerStats,
@@ -74,9 +71,8 @@ class TestServingGateway:
             for n, t in tickets:
                 out[n].append(t.result(timeout=10.0))
             # independent per-name batchers, one per routed name
-            batchers = gw.batchers()
-            assert set(batchers) == {"gbm", "forest"}
-            assert batchers["gbm"] is not batchers["forest"]
+            assert gw.names() == ["forest", "gbm"]
+            assert gw.service("gbm").batcher is not gw.service("forest").batcher
         for name in ("gbm", "forest"):
             ref = np.array([
                 models[name].predict(r[None, :])[0]
@@ -166,12 +162,17 @@ class TestServingGateway:
             assert gw.service("forest").batcher.max_batch == 256  # defaults intact
 
     def test_configure_live_service_mutates_limits_only(self, data, gbm, forest):
+        """Batch limits are fixed at construction: on a live service every
+        override is refused, and its limits stay as they were."""
         reg = _registry(gbm, forest)
         with ServingGateway(reg, max_batch=256, max_delay=0.005) as gw:
             svc = gw.service("gbm")
-            gw.configure("gbm", max_batch=64, max_delay=0.01)
-            assert svc.batcher.max_batch == 64
-            assert svc.batcher.max_delay == 0.01
+            with pytest.raises(ValueError, match="live service"):
+                gw.configure("gbm", max_batch=64)
+            with pytest.raises(ValueError, match="live service"):
+                gw.configure("gbm", max_delay=0.01)
+            assert svc.batcher.max_batch == 256
+            assert svc.batcher.max_delay == 0.005
             with pytest.raises(ValueError, match="live service"):
                 gw.configure("gbm", cache_entries=8)
             with pytest.raises(ValueError, match="unknown config"):
@@ -312,188 +313,6 @@ class TestServingGateway:
         with pytest.raises(RuntimeError, match="closed"):
             gw.submit("gbm", row)
         gw.close()  # idempotent
-
-
-# ---------------------------------------------------------------------- #
-class _FakeClock:
-    def __init__(self):
-        self.t = 0.0
-
-    def __call__(self):
-        return self.t
-
-    def advance(self, dt):
-        self.t += dt
-
-
-class _FakeBatcher:
-    """Counter-compatible stand-in whose latency is a pure function of its
-    limits, making the tuner's trajectory fully deterministic."""
-
-    def __init__(self, max_batch=256, max_delay=0.05, latency_ms=None):
-        self.max_batch = max_batch
-        self.max_delay = max_delay
-        self._latency_ms = latency_ms or (lambda b, d: 0.5e3 * d + 0.02 * b)
-        self.completed = 0
-        self.total_latency_s = 0.0
-
-    def serve_window(self, n=100):
-        self.completed += n
-        self.total_latency_s += n * self._latency_ms(self.max_batch, self.max_delay) / 1e3
-
-    def counters(self):
-        return {"completed": self.completed, "total_latency_s": self.total_latency_s}
-
-    def set_limits(self, max_batch=None, max_delay=None):
-        if max_batch is not None:
-            self.max_batch = int(max_batch)
-        if max_delay is not None:
-            self.max_delay = float(max_delay)
-
-
-class TestAdaptiveBatchTuner:
-    def test_backs_off_to_lower_bounds_when_over_target(self):
-        fb = _FakeBatcher(max_batch=256, max_delay=0.05, latency_ms=lambda b, d: 100.0)
-        clock = _FakeClock()
-        tuner = AdaptiveBatchTuner({"m": fb}, target_latency_ms=5.0, clock=clock)
-        fb.serve_window()
-        tuner.step()  # first observation: baseline only, no decision
-        trail = []
-        for _ in range(10):
-            fb.serve_window()
-            clock.advance(1.0)
-            (decision,) = tuner.step()
-            assert decision.direction == "backoff"
-            trail.append((fb.max_batch, fb.max_delay))
-        assert trail == sorted(trail, reverse=True)  # monotone retreat
-        assert fb.max_batch == 8                     # clamped at batch_bounds[0]
-        assert fb.max_delay == pytest.approx(2e-4)   # clamped at delay_bounds[0]
-
-    def test_grows_toward_upper_bounds_when_under_target(self):
-        fb = _FakeBatcher(max_batch=8, max_delay=2e-4, latency_ms=lambda b, d: 0.1)
-        clock = _FakeClock()
-        tuner = AdaptiveBatchTuner({"m": fb}, target_latency_ms=5.0, clock=clock)
-        fb.serve_window()
-        tuner.step()
-        trail = []
-        for _ in range(60):
-            fb.serve_window()
-            clock.advance(1.0)
-            (decision,) = tuner.step()
-            assert decision.direction == "grow"
-            trail.append((fb.max_batch, fb.max_delay))
-        assert trail == sorted(trail)               # monotone growth
-        assert fb.max_batch == 8 + 60 * 16          # additive: +batch_step per window
-        assert fb.max_delay == pytest.approx(0.05)  # clamped at delay_bounds[1]
-
-    def test_holds_without_new_completions(self):
-        fb = _FakeBatcher(max_batch=64, max_delay=0.01)
-        clock = _FakeClock()
-        tuner = AdaptiveBatchTuner({"m": fb}, target_latency_ms=5.0, clock=clock)
-        fb.serve_window()
-        tuner.step()
-        clock.advance(1.0)
-        (decision,) = tuner.step()  # no traffic since baseline
-        assert decision.direction == "hold"
-        assert (fb.max_batch, fb.max_delay) == (64, 0.01)
-
-    def test_converges_near_latency_target(self):
-        """From far above target, the AIMD loop settles into an oscillation
-        band around it — the 'provably moves toward the target' gate."""
-        fb = _FakeBatcher(max_batch=64, max_delay=0.05)  # starts ~26ms mean
-        clock = _FakeClock()
-        target = 5.0
-        tuner = AdaptiveBatchTuner({"m": fb}, target_latency_ms=target, clock=clock)
-        fb.serve_window()
-        tuner.step()
-        window_lat = []
-        for _ in range(40):
-            fb.serve_window(200)
-            clock.advance(1.0)
-            (decision,) = tuner.step()
-            window_lat.append(decision.window_latency_ms)
-        assert window_lat[0] > 4 * target  # really did start far away
-        assert all(0.3 * target <= lat <= 1.7 * target for lat in window_lat[-10:])
-        assert 8 <= fb.max_batch <= 4096
-        assert 2e-4 <= fb.max_delay <= 0.05
-
-    def test_maybe_step_honors_interval(self):
-        fb = _FakeBatcher()
-        clock = _FakeClock()
-        tuner = AdaptiveBatchTuner({"m": fb}, interval_s=1.0, clock=clock)
-        assert tuner.maybe_step() is not None  # first call establishes baseline
-        clock.advance(0.5)
-        assert tuner.maybe_step() is None      # inside the interval
-        clock.advance(0.6)
-        assert tuner.maybe_step() is not None
-
-    def test_new_names_join_the_control_loop(self):
-        """A gateway's lazily-created services appear mid-flight; the tuner
-        must baseline and then steer them without restarting."""
-        batchers = {"a": _FakeBatcher(latency_ms=lambda b, d: 100.0)}
-        clock = _FakeClock()
-        tuner = AdaptiveBatchTuner(
-            lambda: batchers, target_latency_ms=5.0, clock=clock
-        )
-        batchers["a"].serve_window()
-        tuner.step()
-        batchers["b"] = _FakeBatcher(latency_ms=lambda b, d: 100.0)  # appears later
-        batchers["a"].serve_window()
-        batchers["b"].serve_window()
-        clock.advance(1.0)
-        assert [d.name for d in tuner.step()] == ["a"]  # b only baselined
-        batchers["b"].serve_window()
-        clock.advance(1.0)
-        decisions = {d.name: d for d in tuner.step()}
-        assert decisions["b"].direction == "backoff"
-
-    def test_steers_a_live_gateway_batcher(self, data, gbm, forest):
-        """End-to-end on real counters: an unreachable latency target makes
-        the tuner grow the live batcher's limits via set_limits."""
-        reg = _registry(gbm, forest)
-        # two waves of distinct rows — duplicates would answer from the
-        # prediction cache and never reach the batcher's counters
-        wave1, wave2 = np.split(_data(n=24, seed=9)[0], 2)
-        with ServingGateway(reg, max_batch=8, max_delay=600.0) as gw:
-            tuner = AdaptiveBatchTuner(gw, target_latency_ms=1e6)
-            for r in wave1:
-                gw.submit("gbm", r)
-            gw.flush()
-            tuner.step()  # baseline
-            for r in wave2:
-                gw.submit("gbm", r)
-            gw.flush()
-            decisions = tuner.step()
-            assert [d.direction for d in decisions] == ["grow"]
-            assert gw.batchers()["gbm"].max_batch == 8 + 16
-            assert gw.batchers()["gbm"].max_delay == 0.05  # clamped into bounds
-
-    def test_validates_parameters(self):
-        fb = _FakeBatcher()
-        with pytest.raises(ValueError):
-            AdaptiveBatchTuner({"m": fb}, target_latency_ms=0.0)
-        with pytest.raises(ValueError):
-            AdaptiveBatchTuner({"m": fb}, backoff=1.0)
-        with pytest.raises(ValueError):
-            AdaptiveBatchTuner({"m": fb}, grow=1.0)
-        with pytest.raises(ValueError):
-            AdaptiveBatchTuner({"m": fb}, batch_bounds=(0, 10))
-        with pytest.raises(ValueError):
-            AdaptiveBatchTuner({"m": fb}, delay_bounds=(0.0, 0.01))
-
-    def test_background_thread_start_stop(self, data, gbm, forest):
-        """The production mode: a daemon thread stepping on a cadence.
-        Determinism is not asserted here — just lifecycle hygiene."""
-        reg = _registry(gbm, forest)
-        with ServingGateway(reg, max_batch=8, max_delay=0.01) as gw:
-            tuner = AdaptiveBatchTuner(gw, target_latency_ms=5.0, interval_s=0.01)
-            with tuner:
-                tuner.start()
-                with pytest.raises(RuntimeError, match="already started"):
-                    tuner.start()
-                for r in _data(n=10, seed=10)[0]:
-                    gw.predict("forest", r, timeout=10.0)
-            tuner.stop()  # idempotent after context exit
 
 
 # ---------------------------------------------------------------------- #

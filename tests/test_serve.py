@@ -24,6 +24,7 @@ from repro.serve import (
     ModelRegistry,
     PredictionCache,
     freeze_arrays,
+    request_digest,
 )
 
 pytestmark = pytest.mark.serve
@@ -392,47 +393,24 @@ class TestMicroBatcher:
             errors = [t._error for t in tickets]
             assert len({id(e) for e in errors}) == len(errors)  # all private copies
 
-    def test_set_limits_shrink_fires_size_flush(self, data, gbm):
-        """Lowering max_batch to (or below) the pending row count must act
-        like any other size trigger: the caller scores the batch inline."""
-        rows = _data(n=6, seed=20)[0]
-        with MicroBatcher(gbm, max_batch=10_000, max_delay=600.0) as mb:
-            tickets = [mb.submit(r) for r in rows]
-            assert mb.counters()["batches"] == 0
-            mb.set_limits(max_batch=4)
-            assert all(t.done() for t in tickets)
-            assert mb.counters()["size_flushes"] == 1
-            out = np.array([t.result() for t in tickets])
-        assert np.array_equal(out, np.array([gbm.predict(r[None, :])[0] for r in rows]))
-
-    def test_set_limits_retargets_pending_deadlines(self, data, gbm):
-        """A new max_delay applies to already-queued tickets (recomputed
-        from their enqueue time), so a tuner can rescue a long deadline."""
-        row = _data(n=1, seed=21)[0][0]
-        with MicroBatcher(gbm, max_batch=10_000, max_delay=600.0) as mb:
-            ticket = mb.submit(row)
-            mb.set_limits(max_delay=0.02)
-            assert ticket.result(timeout=5.0) == gbm.predict(row[None, :])[0]
-            assert mb.counters()["deadline_flushes"] == 1
-
     def test_an_infinite_max_delay_starts_no_timer(self, gbm):
         """``max_delay=math.inf`` is how an owner that flushes itself (a
-        shard worker) opts out of the deadline thread; a later finite
-        ``set_limits`` arms one for what is already queued."""
+        shard worker) opts out of the deadline thread: the ticket stays
+        pending until that owner's explicit ``flush()``."""
         row = _data(n=1, seed=22)[0][0]
         with MicroBatcher(gbm, max_batch=10_000, max_delay=math.inf) as mb:
             ticket = mb.submit(row)
             assert mb._timer is None and not ticket.done()
-            mb.set_limits(max_delay=0.02)
+            assert mb.flush() == 1
+            assert mb._timer is None
             assert ticket.result(timeout=5.0) == gbm.predict(row[None, :])[0]
-            assert mb.counters()["deadline_flushes"] == 1
+            assert mb.counters()["manual_flushes"] == 1
 
-    def test_set_limits_validates(self, gbm):
-        with MicroBatcher(gbm, max_batch=4, max_delay=0.01) as mb:
-            with pytest.raises(ValueError):
-                mb.set_limits(max_batch=0)
-            with pytest.raises(ValueError):
-                mb.set_limits(max_delay=0.0)
+    def test_limits_are_validated_at_construction(self, gbm):
+        with pytest.raises(ValueError, match="max_batch"):
+            MicroBatcher(gbm, max_batch=0)
+        with pytest.raises(ValueError, match="max_delay"):
+            MicroBatcher(gbm, max_delay=0.0)
 
     def test_submit_after_close_raises(self, gbm):
         mb = MicroBatcher(gbm, max_batch=4, max_delay=0.01)
@@ -514,6 +492,19 @@ class TestPredictionCache:
         arr = np.zeros(3)
         cache.put(("m", 1, "predict", b"k"), arr)
         assert not arr.flags.writeable
+
+    def test_digest_tells_dtypes_apart_and_matches_equal_blocks(self):
+        """Same shape, same (zero) bytes: only the dtype differs.  Two of
+        the structured dtypes share an itemsize, where ``dtype.str`` alone
+        reads ``|V8`` for both."""
+        dtypes = ["<f8", ">f8", "<i8", "<u8", "V8", "M8[s]", "M8[ms]",
+                  [("a", "<f8")], [("b", "<f8")], [("a", "<i8")]]
+        digests = [request_digest(np.zeros(2, dtype=d)) for d in dtypes]
+        assert len(set(digests)) == len(dtypes)
+        rows = _data(n=2, seed=23)[0]
+        assert request_digest(rows) == request_digest(rows.copy())
+        assert request_digest(rows) == request_digest(np.asfortranarray(rows))
+        assert request_digest(rows) != request_digest(rows[:1])
 
 
 class TestInferenceService:
