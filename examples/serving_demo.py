@@ -18,9 +18,9 @@ Walks the full serving story on a simulated Theta workload:
    batch limit set before the name's first request,
 6. scale past one process: a two-shard
    :class:`~repro.serve.shard.ShardedServingCluster` warm-starts gateway
-   replicas from the same registry (pickled frozen models), hash-routes
-   each name's traffic to its owning shard, applies a promote/rollback
-   broadcast cluster-wide, and fans one large batch row-parallel across
+   replicas from the same registry (forked workers inherit the frozen
+   models), hash-routes each name's traffic to its owning shard, applies
+   a promote/rollback broadcast cluster-wide, and fans one large batch row-parallel across
    both worker processes — all of it bit-identical to direct predicts,
 7. close the loop with the **online monitoring plane**: a
    :class:`~repro.serve.monitor.MonitoringPlane` taps the gateway,

@@ -10,7 +10,8 @@ results, and duplicate requests — pervasive in HPC I/O telemetry (§VI.A)
 for a single name; :class:`ServingGateway` fronts the whole registry with
 lazily-created per-name services.
 :class:`ShardedServingCluster` scales the whole stack past one process:
-N worker gateways warm-started from pickled frozen models, hash or
+N worker gateways warm-started from the registry's frozen models
+(inherited under ``fork``, pickled only under ``spawn``), hash or
 replicated routing, broadcast registry mutations, and crash containment —
 still bit-identical to the single-process path.
 

@@ -147,18 +147,6 @@ class ModelRegistry:
         self._lock = threading.RLock()
         self._entries: dict[str, _Entry] = {}
         self._listeners: list[Callable[[str, int, str], None]] = []
-        # monotone counter of state changes; snapshot caches key on it
-        self._mutations = 0
-
-    @property
-    def mutations(self) -> int:
-        """Monotone count of registry state changes (register, promote,
-        rollback, unregister, set_reference).  Two reads returning the
-        same value bracket an unchanged registry, so a consumer may cache
-        derived state — e.g. the sharded cluster's pickled snapshot bytes
-        — keyed on this counter instead of re-deriving per use."""
-        with self._lock:
-            return self._mutations
 
     # ------------------------------------------------------------------ #
     def register(
@@ -193,7 +181,6 @@ class ModelRegistry:
                             ErrorCode.INVALID_MUTATION)
             entry.next_version = max(entry.next_version, version + 1)
             entry.versions[version] = ModelVersion(name, version, model, n_frozen)
-            self._mutations += 1
         if promote:
             self.promote(name, version)
         return version
@@ -210,7 +197,6 @@ class ModelRegistry:
             if entry.production is not None:
                 entry.history.append(entry.production)
             entry.production = version
-            self._mutations += 1
         self._notify(name, version, "promote")
 
     def rollback(self, name: str) -> int:
@@ -224,7 +210,6 @@ class ModelRegistry:
                 )
             version = entry.history.pop()
             entry.production = version
-            self._mutations += 1
         self._notify(name, version, "rollback")
         return version
 
@@ -250,7 +235,6 @@ class ModelRegistry:
                 )
             del entry.versions[version]
             entry.history = [v for v in entry.history if v != version]
-            self._mutations += 1
         self._notify(name, version, "unregister")
 
     # ------------------------------------------------------------------ #
@@ -284,7 +268,6 @@ class ModelRegistry:
         )
         with self._lock:
             self._get_entry(name).reference = ref
-            self._mutations += 1
         self._notify(name, 0, "set_reference")
         return ref
 
@@ -298,11 +281,13 @@ class ModelRegistry:
         """Picklable replica of the whole registry state.
 
         Maps each name to its models (by version), the production alias,
-        the rollback history, and the version counter — everything
-        :meth:`restore` needs to rebuild an exact replica in another
-        process.  Models are the registered (frozen, fit-sealed) objects;
-        they pickle because :func:`_seal_fit` installs a module-level
-        sentinel (see PR 3).
+        the rollback history, the version counter and the reference —
+        everything :meth:`restore` needs to rebuild an exact replica in
+        another process.  Models are the registered (frozen, fit-sealed)
+        objects themselves, not copies, and the dict holds no lock, so a
+        forked process can inherit it as is.  It also pickles, for a
+        ``spawn`` start: :func:`_seal_fit` installs a module-level
+        sentinel rather than a closure.
         """
         with self._lock:
             return {
@@ -319,10 +304,13 @@ class ModelRegistry:
     def restore(self, state: dict[str, dict[str, Any]]) -> None:
         """Rebuild a :meth:`snapshot` into this (fresh) registry.
 
-        Every model goes back through the full :meth:`register` path —
-        pickling drops NumPy's read-only flag, so the freeze/seal/pack
-        warm-up must run again for the immutability contract to hold in
-        the restored process.  Stage aliases are reinstated directly (no
+        Every model goes back through the full :meth:`register` path.
+        A snapshot that crossed a pickle (a ``spawn`` start) has lost
+        NumPy's read-only flag, so the freeze/seal/pack warm-up must run
+        again for the immutability contract to hold in the restored
+        process; on an inherited (``fork``) snapshot the models are
+        already frozen, sealed and packed, and the same path is an
+        idempotent no-op.  Stage aliases are reinstated directly (no
         listener notifications: a restore is initial state, not a stage
         *change*).  Only meaningful on an empty registry — pinned version
         numbers collide otherwise.
@@ -339,11 +327,11 @@ class ModelRegistry:
             if reference is not None:
                 # after the entry exists (a snapshot may carry a reference
                 # with zero versions — every version unregistered after
-                # set_reference).  Pickling drops the read-only flag, same
-                # as the models — re-enter through set_reference so the
-                # restored arrays are frozen again (restore is initial
-                # state: pre-restore listeners on a fresh registry are by
-                # construction none)
+                # set_reference).  A pickled snapshot has lost the
+                # read-only flag, same as the models — re-enter through
+                # set_reference so the restored arrays are frozen
+                # (restore is initial state: pre-restore listeners on a
+                # fresh registry are by construction none)
                 self.set_reference(
                     name, reference.X, eu=reference.eu,
                     names=list(reference.names) if reference.names else None,

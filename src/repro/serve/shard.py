@@ -6,9 +6,11 @@ skew) are exactly the regimes where a single serving process becomes the
 bottleneck.  :class:`ShardedServingCluster` spawns ``n_shards`` worker
 processes, each hosting its **own** :class:`~repro.serve.registry.ModelRegistry`
 and :class:`~repro.serve.router.ServingGateway` replica, warm-started from a
-pickled snapshot of the parent's registry (models were frozen and
-fit-sealed on register, so they pickle and re-freeze cleanly — the PR 3
-roundtrip fix exists for this path).
+snapshot of the parent's registry passed as the process argument.  Under
+``fork`` the worker inherits the frozen, sealed, packed models in memory
+and nothing is serialized; under ``spawn`` :mod:`multiprocessing` pickles
+the snapshot like any argument (models were frozen and fit-sealed on
+register, so they pickle and re-freeze cleanly).
 
 The parent keeps a single ``submit(name, row, kind)`` front door:
 
@@ -186,7 +188,7 @@ def _apply_control(registry: ModelRegistry, action: str, name: str, payload: Any
 
 def _worker_main(
     transport_spec: tuple,
-    snapshot_bytes: bytes,
+    snapshot: dict[str, dict[str, Any]],
     gateway_kwargs: dict[str, Any],
     trace_rings: int = 0,
 ) -> None:
@@ -207,6 +209,10 @@ def _worker_main(
     deadline thread), so the loop keeps the bound — no ticket waits
     longer than ``max_delay`` plus the handling of one message.
 
+    ``snapshot`` is the parent's
+    :meth:`~repro.serve.registry.ModelRegistry.snapshot`: inherited under
+    ``fork``, unpickled by :mod:`multiprocessing` under ``spawn``.
+
     ``trace_rings > 0`` stands up a process-local
     :class:`~repro.serve.obs.trace.Tracer` (a tracer object itself does
     not cross the spawn pickle — only its ring size does): a submit tuple
@@ -226,7 +232,7 @@ def _worker_main(
 
         tracer = Tracer(ring_size=trace_rings)
     registry = ModelRegistry()
-    registry.restore(pickle.loads(snapshot_bytes))
+    registry.restore(snapshot)
     max_delay = gateway_kwargs["max_delay"]
     gateway = ServingGateway(registry, **{**gateway_kwargs, "max_delay": math.inf})
     # (req_id, ticket or error, trace context, trace-clock enqueue time)
@@ -409,9 +415,10 @@ class ShardedServingCluster(TapHost, Backend):
         :meth:`submit_block` fan-out.
     start_method:
         :mod:`multiprocessing` start method; default prefers ``fork``
-        (cheap, instant warm-start) and falls back to ``spawn``.  Both
-        paths hand workers the same pickled snapshot, so behaviour is
-        method-invariant.
+        and falls back to ``spawn``.  Both hand workers the same registry
+        snapshot as the process argument: a forked worker inherits it
+        with nothing serialized, a spawned one receives it pickled.
+        Behaviour is method-invariant.
     transport:
         ``"pipe"`` (default) keeps today's duplex mp pipe;
         ``"socket"`` runs every parent↔worker channel over the frame
@@ -488,15 +495,9 @@ class ShardedServingCluster(TapHost, Backend):
         self._ctx = multiprocessing.get_context(start_method)
         self._lock = threading.Lock()  # serializes broadcasts and close
         self._rr = itertools.count()
-        # one snapshot serialization per registry state — the models
-        # dominate the bytes and are identical for every worker, so the
-        # initial fleet and a K-shard respawn wave all reuse one pickle
-        # keyed on the registry's mutation counter
-        # (mutated only under self._lock / __init__)
-        self._snapshot_cache: tuple[int, bytes] | None = None
-        snapshot_bytes = self._snapshot_bytes()
+        snapshot = registry.snapshot()  # one per fleet, shared by every worker
         self._shards: list[_ShardHandle] = [
-            self._spawn(i, snapshot_bytes) for i in range(n_shards)
+            self._spawn(i, snapshot) for i in range(n_shards)
         ]
         self._closed = False
         registry.add_listener(self._on_stage_change)
@@ -504,28 +505,7 @@ class ShardedServingCluster(TapHost, Backend):
     # ------------------------------------------------------------------ #
     # worker lifecycle
     # ------------------------------------------------------------------ #
-    def _snapshot_bytes(self) -> bytes:
-        """Pickled registry snapshot, cached per registry state.
-
-        The mutation counter is read *before* the snapshot: a mutation
-        landing between the two leaves a newer snapshot filed under an
-        older counter, which the next call simply re-serializes — the
-        cache can waste one pickle but can never serve stale bytes as
-        current.  A registry without the counter (a duck-typed stand-in)
-        just serializes every time."""
-        marker = getattr(self.registry, "mutations", None)
-        if marker is None:
-            return pickle.dumps(self.registry.snapshot())
-        cached = self._snapshot_cache
-        if cached is not None and cached[0] == marker:
-            return cached[1]
-        data = pickle.dumps(self.registry.snapshot())
-        self._snapshot_cache = (marker, data)
-        return data
-
-    def _spawn(self, shard_id: int, snapshot_bytes: bytes | None = None) -> _ShardHandle:
-        if snapshot_bytes is None:  # respawn path: the state may have moved
-            snapshot_bytes = self._snapshot_bytes()
+    def _spawn(self, shard_id: int, snapshot: dict[str, dict[str, Any]]) -> _ShardHandle:
         if self.transport == "socket":
             # bind before forking so the worker's connect can never race a
             # missing listener; the token hello authenticates the peer
@@ -538,7 +518,7 @@ class ShardedServingCluster(TapHost, Backend):
             parent_end = parent_conn
         process = self._ctx.Process(
             target=_worker_main,
-            args=(spec, snapshot_bytes, self._gateway_kwargs, self._trace_rings),
+            args=(spec, snapshot, self._gateway_kwargs, self._trace_rings),
             name=f"serve-shard-{shard_id}",
             daemon=True,
         )
@@ -604,11 +584,13 @@ class ShardedServingCluster(TapHost, Backend):
         """Rebuild dead shards from the registry's current state; returns
         how many were restarted.  ``shard_ids`` limits the sweep to those
         shards (the supervisor's per-shard backoff path); the default
-        rebuilds every dead worker.  The replacement warm-starts from
-        a fresh snapshot, so mutations that happened while the shard was
-        down are already applied when it takes traffic again."""
+        rebuilds every dead worker.  The wave takes one fresh snapshot,
+        shared by every replacement (inherited under ``fork``, pickled per
+        worker under ``spawn``), so mutations that happened while a shard
+        was down are already applied when it takes traffic again."""
         wanted = None if shard_ids is None else set(shard_ids)
         respawned = 0
+        snapshot = None  # taken on the first dead shard, under self._lock
         with self._lock:
             if self._closed:
                 raise coded(RuntimeError("ShardedServingCluster is closed"),
@@ -625,7 +607,9 @@ class ShardedServingCluster(TapHost, Backend):
                 if dead or not handle.process.is_alive():
                     handle.transport.close()
                     handle.process.join(timeout=1.0)
-                    shards[i] = self._spawn(handle.shard_id)
+                    if snapshot is None:
+                        snapshot = self.registry.snapshot()
+                    shards[i] = self._spawn(handle.shard_id, snapshot)
                     respawned += 1
             self._shards = shards
         return respawned

@@ -10,10 +10,12 @@ excluded while still running in the default tier-1 sweep:
 * ``gateway`` — multi-model :class:`ServingGateway` routing, per-name
   configuration and fleet-wide stats.
 * ``shard`` — the process-sharded :class:`ShardedServingCluster`: worker
-  warm-start from pickled frozen models, hash/replicated routing,
-  broadcast mutations, crash containment.  These tests fork worker
-  processes; they stay tier-1 but are the ones to deselect
-  (``-m "not shard"``) on platforms where subprocesses are awkward.
+  warm-start from the inherited (``fork``) or pickled (``spawn``)
+  registry snapshot, hash/replicated routing, broadcast mutations,
+  crash containment.  These tests start worker processes (one test uses
+  ``spawn``, the rest ``fork``); they stay tier-1 but are the ones to
+  deselect (``-m "not shard"``) on platforms where subprocesses are
+  awkward.
 * ``monitor`` — the online error-source monitoring plane
   (:mod:`repro.serve.monitor`): windowed drift/EU scoring, shadow
   champion–challenger evaluation, and the policy engine's

@@ -65,6 +65,17 @@ class RowAffine:
         return np.array([float(r @ self.w) + self.b for r in X])
 
 
+class PickleCountingAffine(RowAffine):
+    """A :class:`RowAffine` that counts how often it is pickled (in the
+    process that pickles it — here the parent)."""
+
+    reduces = 0
+
+    def __reduce_ex__(self, protocol):
+        type(self).reduces += 1
+        return super().__reduce_ex__(protocol)
+
+
 def _registry(forest, gbm):
     reg = ModelRegistry()
     reg.register("forest", forest, promote=True)
@@ -294,6 +305,52 @@ class TestCrashContainment:
             assert cluster.register("many", newest, promote=True) == 301
             assert cluster.predict("many", probe[2], timeout=20.0) == \
                 newest.predict(probe[2])[0]
+
+    def test_forked_workers_inherit_the_snapshot_without_pickling_it(self):
+        """Under ``fork`` the workers inherit the parent's registered
+        models: neither the cold start nor a respawn wave after a
+        registry change pickles one of them, and every reply still
+        equals a direct predict."""
+        rng = np.random.default_rng(53)
+        models = [PickleCountingAffine(rng.normal(0, 1, 6), rng.normal()) for _ in range(2)]
+        reg = ModelRegistry()
+        for model in models:
+            reg.register("counted", model)
+        reg.promote("counted", 1)
+        probe = _data(n=2, seed=59)[0]
+        PickleCountingAffine.reduces = 0
+        with _cluster(reg, start_method="fork") as cluster:
+            assert cluster.predict("counted", probe[0], timeout=20.0) == \
+                models[0].predict(probe[0])[0]
+            for sid in range(cluster.n_shards):
+                cluster.kill_shard(sid)
+            cluster.promote("counted", 2)  # while every shard is down
+            assert cluster.respawn() == cluster.n_shards
+            assert cluster.predict("counted", probe[1], timeout=20.0) == \
+                models[1].predict(probe[1])[0]
+        assert PickleCountingAffine.reduces == 0, (
+            f"a fork start or respawn pickled a registered model "
+            f"{PickleCountingAffine.reduces} time(s)"
+        )
+
+    def test_spawned_workers_serve_and_respawn_bit_identically(self, forest, gbm):
+        """``spawn`` is the one start method that pickles the snapshot:
+        a spawned fleet answers bit-identically to direct predicts, and
+        so does a shard respawned after a kill."""
+        reg = _registry(forest, gbm)
+        rows = _data(n=4, seed=61)[0]
+
+        def served_equals_direct(cluster, name, model):
+            got = np.array([cluster.predict(name, r, timeout=60.0) for r in rows])
+            want = np.array([model.predict(r[None, :])[0] for r in rows])
+            return np.array_equal(got, want)
+
+        with _cluster(reg, start_method="spawn") as cluster:
+            assert served_equals_direct(cluster, "forest", forest)
+            assert served_equals_direct(cluster, "gbm", gbm)
+            cluster.kill_shard(cluster.shard_of("forest"))
+            assert cluster.respawn() == 1
+            assert served_equals_direct(cluster, "forest", forest)
 
     def test_respawn_right_after_kill_does_not_wait_for_the_reader(
         self, forest, gbm, monkeypatch
