@@ -5,17 +5,17 @@ Walks the full serving story on a simulated Theta workload:
 1. fit a forest on the historical window and **register** it (the registry
    freezes every array the model owns — from then on it is an immutable,
    promotable artifact),
-2. stand up an :class:`~repro.serve.service.InferenceService` and stream
-   single-job requests through the **micro-batcher**, checking the answers
-   are bit-identical to direct predicts,
+2. stand up a :class:`~repro.serve.router.ServingGateway` for that one
+   model and stream single-job requests through its **micro-batcher**,
+   checking the answers are bit-identical to direct predicts,
 3. replay duplicate jobs against the **prediction cache** (HPC streams are
    ~30 % duplicates, §VI.A — hits are free),
 4. stage a retrained v2, **promote** it (cache invalidates itself), watch
    the same request get the new answer, then **rollback**,
 5. front *two* per-system models (Theta + Cori — per-system drift, §VIII)
    with one :class:`~repro.serve.router.ServingGateway`, promote and roll
-   back the Theta model **while traffic flows** to both, with a per-name
-   batch limit set before the name's first request,
+   back the Theta model **while traffic flows** to both (every name gets
+   the gateway's batch and cache limits),
 6. scale past one process: a two-shard
    :class:`~repro.serve.shard.ShardedServingCluster` warm-starts gateway
    replicas from the same registry (forked workers inherit the frozen
@@ -45,7 +45,6 @@ from repro.data import build_dataset, feature_matrix, temporal_split
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.uncertainty import epistemic_sample
 from repro.serve import (
-    InferenceService,
     ModelRegistry,
     MonitoringPlane,
     PsiThresholdRule,
@@ -69,11 +68,12 @@ v1 = registry.register("io-throughput", v1_model, promote=True)
 print(f"registered + promoted version {v1} "
       f"({registry.get_version('io-throughput').n_frozen_arrays} arrays frozen)")
 
-with InferenceService(registry, "io-throughput", max_batch=64, max_delay=0.005) as svc:
+NAME = "io-throughput"
+with ServingGateway(registry, max_batch=64, max_delay=0.005) as gw:
     # --- micro-batched scoring of "arriving" jobs --------------------- #
     arriving = X[test[:500]]
-    tickets = [svc.submit(row) for row in arriving]
-    svc.flush()
+    tickets = [gw.submit(NAME, row) for row in arriving]
+    gw.flush()
     served = np.array([t.result(timeout=10.0) for t in tickets])
     direct = np.array([v1_model.predict(row[None, :])[0] for row in arriving])
     assert np.array_equal(served, direct)
@@ -81,8 +81,8 @@ with InferenceService(registry, "io-throughput", max_batch=64, max_delay=0.005) 
 
     # --- duplicate jobs hit the cache --------------------------------- #
     for row in arriving[:100]:  # resubmitted job signatures
-        svc.predict(row, timeout=10.0)
-    stats = svc.stats()
+        gw.predict(NAME, row, timeout=10.0)
+    stats = gw.stats().per_name[NAME]
     print(f"after replaying 100 duplicates: {stats.summary()}")
 
     # --- staged rollout: promote v2, then roll back ------------------- #
@@ -92,15 +92,15 @@ with InferenceService(registry, "io-throughput", max_batch=64, max_delay=0.005) 
     v2 = registry.register("io-throughput", v2_model)
     print(f"staged version {v2} (production still v{registry.production_version('io-throughput')})")
 
-    p1 = svc.predict(probe, timeout=10.0)
+    p1 = gw.predict(NAME, probe, timeout=10.0)
     registry.promote("io-throughput", v2)
-    p2 = svc.predict(probe, timeout=10.0)
+    p2 = gw.predict(NAME, probe, timeout=10.0)
     assert p2 == v2_model.predict(probe[None, :])[0]
     registry.rollback("io-throughput")
-    p3 = svc.predict(probe, timeout=10.0)
+    p3 = gw.predict(NAME, probe, timeout=10.0)
     assert p3 == p1
     print(f"probe job: v1={p1:.4f}  v2={p2:.4f}  rollback={p3:.4f}")
-    print(f"final stats: {svc.stats().summary()}")
+    print(f"final stats: {gw.stats().per_name[NAME].summary()}")
 
 # --- multi-model gateway: per-system models under one front door ------ #
 print("\nsimulating a Cori-like workload for a second per-system model ...")
@@ -112,8 +112,6 @@ cori_model.fit(Xc[:2000], yc[:2000])
 registry.register("cori-throughput", cori_model, promote=True)
 
 with ServingGateway(registry, max_batch=64, max_delay=0.005) as gw:
-    gw.configure("cori-throughput", max_batch=32)  # per-name override
-
     theta_rows, cori_rows = X[test[:200]], Xc[2000:2200]
     stop = threading.Event()
     errors: list[Exception] = []
@@ -154,9 +152,8 @@ with ServingGateway(registry, max_batch=64, max_delay=0.005) as gw:
         cori_model.predict(cori_probe[None, :])[0]
     print("gateway served 2 models through promote/rollback under traffic, zero errors")
     print(gw.stats().summary())
-    print("per-name limits: " + ", ".join(
-        f"{n}: batch={gw.service(n).batcher.max_batch}" for n in gw.names()
-    ))
+    print(f"every name ({', '.join(gw.names())}) ran with max_batch={gw.max_batch} "
+          f"max_delay={gw.max_delay} cache_entries={gw.cache_entries}")
 
 # --- sharded cluster: the same registry served from worker processes -- #
 print("\nspawning a 2-shard serving cluster from the registry snapshot ...")

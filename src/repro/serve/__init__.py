@@ -6,9 +6,8 @@ promoted/rolled back in stages), traffic coalesces through a
 :class:`MicroBatcher` into single packed-arena calls with bit-identical
 results, and duplicate requests — pervasive in HPC I/O telemetry (§VI.A)
 — are answered from a version-keyed :class:`PredictionCache`.
-:class:`InferenceService` wires the three together behind one ``submit``
-for a single name; :class:`ServingGateway` fronts the whole registry with
-lazily-created per-name services.
+:class:`ServingGateway` fronts the whole registry behind one ``submit``,
+giving each name, on its first request, its own batcher and cache.
 :class:`ShardedServingCluster` scales the whole stack past one process:
 N worker gateways warm-started from the registry's frozen models
 (inherited under ``fork``, pickled only under ``spawn``), hash or
@@ -54,7 +53,7 @@ the plane on or off, ≤ 5 % overhead gated by
 """
 
 from repro.serve.backend import Backend
-from repro.serve.batcher import MicroBatcher, Ticket
+from repro.serve.batcher import CompletedTicket, MicroBatcher, Ticket
 from repro.serve.cache import PredictionCache, request_digest
 from repro.serve.errors import (
     CodedError,
@@ -105,7 +104,6 @@ from repro.serve.resilience import (
     ShardSupervisor,
 )
 from repro.serve.router import ServingGateway
-from repro.serve.service import CompletedTicket, InferenceService
 from repro.serve.shard import ClusterTicket, ShardCrashedError, ShardedServingCluster
 from repro.serve.stats import ClusterStats, GatewayStats, ResilienceStats, ServerStats
 from repro.serve.transport import (
@@ -128,7 +126,6 @@ __all__ = [
     "ErrorCode",
     "EuQuantileRule",
     "GatewayStats",
-    "InferenceService",
     "METRICS",
     "METRIC_NAMES",
     "MetricsRegistry",

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.serve.errors import ErrorCode, coded, ensure_code
 
-__all__ = ["MicroBatcher", "Ticket"]
+__all__ = ["CompletedTicket", "MicroBatcher", "Ticket"]
 
 
 def _private_exception(exc: BaseException) -> BaseException:
@@ -122,6 +122,22 @@ class Ticket:
         self._event.set()
 
 
+class CompletedTicket:
+    """An answer known at submit time (a cache hit, a shard's op reply),
+    shaped like a :class:`Ticket`."""
+
+    __slots__ = ("_value",)
+
+    def __init__(self, value: Any):
+        self._value = value
+
+    def done(self) -> bool:
+        return True
+
+    def result(self, timeout: float | None = None) -> Any:
+        return self._value
+
+
 class MicroBatcher:
     """Coalesce concurrent small requests into packed-arena batches.
 
@@ -205,7 +221,7 @@ class MicroBatcher:
         ``copy=True`` (the default) takes a private copy: callers may
         legally reuse their buffer the moment submit returns, and the
         flush must score the submit-time bytes.  Pass ``copy=False`` only
-        when handing over an array nothing else will touch (the service
+        when handing over an array nothing else will touch (the gateway
         does, having already copied for its digest).
 
         ``trace`` optionally carries a

@@ -124,7 +124,7 @@ class ShadowScorer:
     def on_result(self, kind: str, block: np.ndarray, value) -> None:
         """Observe one scored production request; maybe mirror it.
 
-        ``block``/``value`` are exactly what the service scored and
+        ``block``/``value`` are exactly what the gateway scored and
         returned.  Only ``predict`` traffic mirrors (a mean/variance pair
         has no single number to disagree about).
         """

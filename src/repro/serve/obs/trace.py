@@ -59,7 +59,7 @@ __all__ = [
 # frozen span vocabulary — add, never rename (docs/observability.md)
 COMPONENTS = frozenset({
     "edge",        # AsyncServeServer: parse/admission/respond
-    "gateway",     # ServingGateway: route to the per-name service
+    "gateway",     # ServingGateway: the name's batcher, cache lookup
     "batcher",     # MicroBatcher: queue_wait/flush/score
     "cluster",     # ShardedServingCluster parent: route/transport
     "worker",      # shard worker process: respond (result wait + send)
@@ -70,7 +70,7 @@ STAGES = frozenset({
     "admission",   # edge: in-flight budget check + enqueue
     "queue_wait",  # batcher: enqueue -> drain into a flush
     "flush",       # batcher: one drained batch scoring (batch-level)
-    "route",       # gateway/cluster: pick the service / shard
+    "route",       # gateway/cluster: find the name's batcher / pick the shard
     "steal",       # deprecated: never recorded (work stealing was removed)
     "transport",   # cluster: send -> worker response completes the ticket
     "score",       # batcher: drain -> ticket completed

@@ -373,7 +373,7 @@ class ModelRegistry:
             self._listeners.append(fn)
 
     def remove_listener(self, fn: Callable[[str, int, str], None]) -> None:
-        """Deregister a listener (no-op when absent) — services call this
+        """Deregister a listener (no-op when absent) — gateways call this
         on close so a long-lived registry never accumulates dead callbacks."""
         with self._lock:
             try:

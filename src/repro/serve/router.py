@@ -4,18 +4,25 @@ The taxonomy paper's deployment findings (per-system drift, §VIII) mean a
 production deployment runs *many* models — one per system, per metric, per
 retrain generation — side by side.  :class:`ServingGateway` fronts all of
 them with a single ``submit(name, row, kind)``: the first request for a
-name lazily stands up a dedicated
-:class:`~repro.serve.service.InferenceService` (its own micro-batcher and
-prediction cache), so one name's traffic shape — or one name's malformed
-requests — never perturbs another's batches.  Per-name configuration
-overrides apply at service creation, so a live service's limits never
-change; :meth:`stats` rolls every service's counters into one
+name lazily stands up that name's own
+:class:`~repro.serve.batcher.MicroBatcher` and
+:class:`~repro.serve.cache.PredictionCache`, so one name's traffic shape —
+or one name's malformed requests — never perturbs another's batches.
+Every name gets the limits the gateway was built with; :meth:`stats`
+rolls every name's counters into one
 :class:`~repro.serve.stats.GatewayStats`; :meth:`close` tears the fleet
 down in one call.
 
-The gateway adds no scoring path of its own — every numeric guarantee of
-the single-model stack (bit-identical micro-batching, version-keyed
-caching, promote/rollback at batch boundaries) holds per name, unchanged.
+A name's batcher binds the registry *name*, not a model object: every
+flush resolves the current production version, so promotes and rollbacks
+take effect at the next batch boundary with no coordination.  ``submit``
+consults the name's cache first — keys carry the production version, so a
+hit is always consistent with the model that would score a miss — and
+scored results are inserted back for the next duplicate request (HPC
+streams repeat job signatures, §VI.A).  Stage changes reach the caches
+through one registry listener per gateway.  Every numeric guarantee of
+the batcher (bit-identical micro-batching, FIFO) holds per name,
+unchanged.
 
 The gateway is a :class:`~repro.serve.backend.Backend` and a
 :class:`~repro.serve.backend.TapHost`: a tap's ``on_request`` fires per
@@ -35,20 +42,86 @@ from typing import Any
 import numpy as np
 
 from repro.serve.backend import UNSAMPLED, Backend, TapHost
-from repro.serve.batcher import Ticket
+from repro.serve.batcher import CompletedTicket, MicroBatcher, Ticket
+from repro.serve.cache import PredictionCache, request_digest
 from repro.serve.errors import ErrorCode, coded
 from repro.serve.registry import ModelRegistry
-from repro.serve.service import CompletedTicket, InferenceService
-from repro.serve.stats import GatewayStats
+from repro.serve.stats import GatewayStats, ServerStats
 
 __all__ = ["ServingGateway"]
 
-# per-name override keys, read once when the name's service is created
-_CONFIG_KEYS = frozenset({"max_batch", "max_delay", "cache_entries"})
+
+def check_limits(max_batch: int, max_delay: float,
+                 cache_entries: int) -> tuple[int, float, int]:
+    """The per-name limits, typed; a bad one is a ``ValueError`` here, at
+    construction, not a client-facing error on every request."""
+    if max_batch < 1:
+        raise ValueError("max_batch must be >= 1")
+    if max_delay <= 0:
+        raise ValueError("max_delay must be > 0")
+    if cache_entries < 1:
+        raise ValueError("cache_entries must be >= 1")
+    return int(max_batch), float(max_delay), int(cache_entries)
+
+
+class _PerName:
+    """One name's batcher and cache."""
+
+    __slots__ = ("batcher", "cache")
+
+    def __init__(self, gateway: "ServingGateway", name: str):
+        registry = gateway.registry
+        cache = self.cache = PredictionCache(gateway.cache_entries)
+        # the version that scored the running flush: resolve and insert
+        # both run in the flushing thread, so a thread-local ties each
+        # result to its scorer even when two flushes overlap
+        scoring = threading.local()
+
+        def resolve() -> Any:
+            mv = registry.get_version(name)
+            scoring.version = mv.version
+            return mv.model
+
+        def insert(ticket: Ticket, value: Any) -> None:
+            if gateway._result_taps:
+                gateway._notify_result(name, ticket, value)
+            # Only cache when the submit-time key version matches the
+            # version that scored the flush: a promote landing between
+            # submit and flush must not file the new model's number under
+            # the old version's key (where a later rollback could hit it).
+            if ticket.token[1] == getattr(scoring, "version", None):
+                cache.put(ticket.token, value)
+
+        self.batcher = MicroBatcher(resolve, max_batch=gateway.max_batch,
+                                    max_delay=gateway.max_delay, on_result=insert)
+
+    def stats(self) -> ServerStats:
+        # batcher and cache are sampled without one global lock: under
+        # traffic the totals can be off by the requests that landed
+        # mid-snapshot (monitoring accuracy, not accounting accuracy)
+        c, cache = self.batcher.counters(), self.cache
+        return ServerStats(
+            requests=int(c["requests"]) + cache.hits,
+            rows=int(c["rows"]),
+            batches=int(c["batches"]),
+            completed=int(c["completed"]),
+            size_flushes=int(c["size_flushes"]),
+            deadline_flushes=int(c["deadline_flushes"]),
+            manual_flushes=int(c["manual_flushes"]),
+            abandoned=int(c["abandoned"]),
+            latency_dropped=int(c["latency_dropped"]),
+            cache_hits=cache.hits,
+            cache_misses=cache.misses,
+            cache_evictions=cache.evictions,
+            cache_invalidations=cache.invalidations,
+            cache_entries=len(cache),
+            total_latency_s=float(c["total_latency_s"]),
+            latency_samples=self.batcher.latency_snapshot(),
+        )
 
 
 class ServingGateway(TapHost, Backend):
-    """Route requests for any registered name to a per-name service.
+    """Route requests for any registered name to its own batcher and cache.
 
     Parameters
     ----------
@@ -57,8 +130,8 @@ class ServingGateway(TapHost, Backend):
         gateway never registers or promotes — rollout stays a registry
         concern; it only reads.
     max_batch, max_delay, cache_entries:
-        Defaults for every lazily-created per-name service; override
-        per name with :meth:`configure`.
+        Every name's batch size and delay limits and cache capacity,
+        fixed at construction (a value out of range is a ``ValueError``).
     tracer:
         Optional :class:`~repro.serve.obs.trace.Tracer`.  When set, every
         ``trace_sample``-th ``submit`` without an inbound trace context
@@ -87,75 +160,62 @@ class ServingGateway(TapHost, Backend):
     ):
         super().__init__()
         self._init_tracing(tracer, trace_sample)
+        self.max_batch, self.max_delay, self.cache_entries = check_limits(
+            max_batch, max_delay, cache_entries)
         self.registry = registry
-        self._defaults: dict[str, Any] = {
-            "max_batch": int(max_batch),
-            "max_delay": float(max_delay),
-            "cache_entries": int(cache_entries),
-        }
-        self._overrides: dict[str, dict[str, Any]] = {}
-        self._services: dict[str, InferenceService] = {}
+        self._per_name: dict[str, _PerName] = {}
         self._lock = threading.Lock()
+        registry.add_listener(self._on_stage_change)
         self._closed = False
 
     # ------------------------------------------------------------------ #
-    def configure(self, name: str, **overrides: Any) -> None:
-        """Set per-name service options (``max_batch``, ``max_delay``,
-        ``cache_entries``) before the name's service is created.
-
-        The overrides apply when the service is created on the name's
-        first request.  Once it is live they are refused: its batch
-        limits are fixed at construction.
-        """
-        bad = set(overrides) - _CONFIG_KEYS
-        if bad:
-            raise ValueError(f"unknown config keys {sorted(bad)}; valid: {sorted(_CONFIG_KEYS)}")
-        # validate values now — a bad override must fail here, not on the
-        # first request for the name (and never persist past a raise)
-        if overrides.get("max_batch") is not None and overrides["max_batch"] < 1:
-            raise ValueError("max_batch must be >= 1")
-        if overrides.get("max_delay") is not None and overrides["max_delay"] <= 0:
-            raise ValueError("max_delay must be > 0")
-        if overrides.get("cache_entries") is not None and overrides["cache_entries"] < 1:
-            raise ValueError("cache_entries must be >= 1")
-        with self._lock:
-            if overrides and name in self._services:
-                raise ValueError(
-                    f"{sorted(overrides)} cannot change on the live service for {name!r}"
-                )
-            self._overrides.setdefault(name, {}).update(overrides)
-
-    def service(self, name: str) -> InferenceService:
-        """The per-name service, created on first use."""
+    def _open(self, name: str) -> _PerName:
+        """The name's batcher and cache, created on first use."""
         with self._lock:
             if self._closed:
                 raise coded(RuntimeError("ServingGateway is closed"), ErrorCode.CLOSED)
-            svc = self._services.get(name)
-            if svc is None:
+            entry = self._per_name.get(name)
+            if entry is None:
                 if name not in self.registry.names():
                     raise coded(LookupError(f"unknown model name {name!r}"),
                                 ErrorCode.UNKNOWN_MODEL)
-                cfg = {**self._defaults, **self._overrides.get(name, {})}
-                svc = InferenceService(
-                    self.registry, name, **cfg,
-                    on_scored=lambda t, v, _n=name: self._notify_result(_n, t, v),
-                )
-                self._services[name] = svc
-            return svc
+                entry = self._per_name[name] = _PerName(self, name)
+            return entry
+
+    def _on_stage_change(self, name: str, version: int, action: str) -> None:
+        entry = self._per_name.get(name)
+        if entry is None:
+            return
+        if action == "unregister":
+            # surgical: reclaim only the dropped version's entries — the
+            # production version's warm hits survive the retrain loop
+            entry.cache.invalidate(name, version)
+        elif action in ("promote", "rollback"):
+            entry.cache.invalidate(name)
+        # other actions (e.g. "set_reference") don't move the production
+        # alias, so the version-keyed entries stay exactly as valid
 
     # ------------------------------------------------------------------ #
     def submit(
         self, name: str, row: np.ndarray, kind: str = "predict", *, trace: Any = None
     ) -> Ticket | CompletedTicket:
         """Enqueue one request (or one (m, d) block) for ``name``; returns
-        its ticket.
+        its ticket (a :class:`~repro.serve.batcher.CompletedTicket` on a
+        cache hit).
+
+        The cache key binds the request bytes to the *current* production
+        version; a promote between submit and flush therefore yields a
+        result from the new model under a key that can never collide with
+        the old version's entries.
 
         ``trace`` adopts an inbound
         :class:`~repro.serve.obs.trace.TraceContext` (the net edge's);
         with none given and a ``tracer`` configured, a fresh context is
         born here — the in-process entry point of the stack — for every
         ``trace_sample``-th submission; :data:`~repro.serve.backend.UNSAMPLED`
-        (an upstream layer sampled the request out) traces nothing.
+        (an upstream layer sampled the request out) traces nothing.  A
+        cache hit records only the ``route`` span: there is no queue to
+        wait in.
         """
         if trace is None:
             if self._tracer is not None:
@@ -164,66 +224,76 @@ class ServingGateway(TapHost, Backend):
             trace = None
         if trace is not None:
             t0 = trace.now()
-            ticket = self.service(name).submit(row, kind=kind, trace=trace)
-            trace.record("gateway", "route", t0, trace.now(), meta={"name": name})
+        entry = self._per_name.get(name)
+        if entry is None or self._closed:
+            entry = self._open(name)
+        # private copy before digesting: the cache key must describe the
+        # exact bytes that get scored even if the caller reuses the buffer
+        arr = np.array(row, dtype=float)
+        key = (name, self.registry.production_version(name), kind, request_digest(arr))
+        found, value = entry.cache.get(key)
+        if found:
+            ticket = CompletedTicket(value)
         else:
-            ticket = self.service(name).submit(row, kind=kind)
+            # copy=False: `arr` is already our private copy — nothing else
+            # holds it, so the batcher can take it without copying again
+            ticket = entry.batcher.submit(arr, kind=kind, token=key, copy=False,
+                                          trace=trace)
+        if trace is not None:
+            trace.record("gateway", "route", t0, trace.now(), meta={"name": name})
         if self._request_taps:
-            # hand taps the ticket's private block (nothing mutates it after
-            # submission, so observers may retain it without copying); a
-            # cache hit has no block — copy the caller's row for the same
-            # retention guarantee
-            block = getattr(ticket, "block", None)
-            self._notify_request(
-                name, block if block is not None else np.array(row, dtype=float), kind
-            )
+            # taps get the private block (nothing mutates it after
+            # submission, so observers may retain it without copying)
+            self._notify_request(name, arr if found else ticket.block, kind)
         return ticket
 
     def flush(self, name: str | None = None) -> int:
         """Force-score pending requests for one name (or every name).
 
-        Only live services flush — a name that never received traffic has
-        nothing pending, and flushing it must not stand up a service."""
+        Only live names flush — a name that never received traffic has
+        nothing pending, and flushing it must not stand up a batcher."""
         with self._lock:
             if name is not None:
-                services = [s for s in (self._services.get(name),) if s is not None]
+                entries = [e for e in (self._per_name.get(name),) if e is not None]
             else:
-                services = list(self._services.values())
+                entries = list(self._per_name.values())
         # score outside the gateway lock: an inline flush must not block
         # routing for every other name
-        return sum(svc.flush() for svc in services)
+        return sum(e.batcher.flush() for e in entries)
 
     # ------------------------------------------------------------------ #
     def names(self) -> list[str]:
-        """Names with a live service (a subset of the registry's names)."""
+        """Names that have received a request (a subset of the registry's)."""
         with self._lock:
-            return sorted(self._services)
+            return sorted(self._per_name)
 
     def stats(self) -> GatewayStats:
         """Per-name snapshots plus their aggregate (see
         :class:`~repro.serve.stats.GatewayStats`)."""
         with self._lock:
-            services = dict(self._services)
+            entries = dict(self._per_name)
         return GatewayStats(
-            per_name={n: s.stats() for n, s in services.items()},
+            per_name={n: e.stats() for n, e in entries.items()},
             tap_errors=self._tap_errors,
         )
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Flush and close every service; idempotent.  The registry stays
-        untouched — it usually outlives the gateway.
+        """Flush and close every name's batcher and drop the registry
+        listener; idempotent.  The registry stays untouched otherwise — it
+        usually outlives the gateway.
 
         Safe to call any number of times, from ``__del__``, or from an
         :mod:`atexit` hook: a partially-constructed gateway (an
         ``__init__`` that raised before it opened) is a no-op, and a
-        second close never re-tears-down the services."""
+        second close never re-tears-down the batchers."""
         if self._closed:
             return
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            services = list(self._services.values())
-        for svc in services:
-            svc.close()
+            entries = list(self._per_name.values())
+        for entry in entries:
+            entry.batcher.close()
+        self.registry.remove_listener(self._on_stage_change)

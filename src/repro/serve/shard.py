@@ -66,11 +66,10 @@ import numpy as np
 
 from repro.serve.backend import (UNSAMPLED, Backend, TapHost, as_block, empty_export,
                                  merge_export)
-from repro.serve.batcher import _private_exception
+from repro.serve.batcher import CompletedTicket, _private_exception
 from repro.serve.errors import ErrorCode, coded
 from repro.serve.registry import ModelRegistry
-from repro.serve.router import ServingGateway
-from repro.serve.service import CompletedTicket
+from repro.serve.router import ServingGateway, check_limits
 from repro.serve.stats import ClusterStats
 from repro.serve.transport import (
     PipeTransport,
@@ -426,8 +425,9 @@ class ShardedServingCluster(TapHost, Backend):
         ndarray frames) — bit-identical results, multi-node-shaped
         plumbing.  See :mod:`repro.serve.transport`.
     max_batch, max_delay, cache_entries:
-        Per-shard gateway defaults (each worker's per-name services are
-        created from these, exactly as in a single-process gateway).
+        Each worker gateway's limits, exactly as in a single-process
+        gateway (a value out of range is a ``ValueError`` before any
+        worker starts).
     request_timeout:
         Parent-side budget shared by one fan-out (``stats``, ``flush``,
         ``trace_spans``, broadcasts): a shard still silent when it is
@@ -475,6 +475,10 @@ class ShardedServingCluster(TapHost, Backend):
         if transport not in _TRANSPORTS:
             raise ValueError(
                 f"transport must be one of {_TRANSPORTS}, got {transport!r}")
+        # checked here, before any worker exists: a bad limit would
+        # otherwise fail every submit on every shard
+        max_batch, max_delay, cache_entries = check_limits(
+            max_batch, max_delay, cache_entries)
         self.registry = registry
         self.route = route
         self.transport = transport
@@ -485,9 +489,9 @@ class ShardedServingCluster(TapHost, Backend):
         # Tracer holds locks and a clock — it must not cross the pickle)
         self._trace_rings = int(getattr(tracer, "ring_size", 0)) if tracer else 0
         self._gateway_kwargs = {
-            "max_batch": int(max_batch),
-            "max_delay": float(max_delay),
-            "cache_entries": int(cache_entries),
+            "max_batch": max_batch,
+            "max_delay": max_delay,
+            "cache_entries": cache_entries,
         }
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
@@ -909,7 +913,9 @@ class ShardedServingCluster(TapHost, Backend):
 
         Workers drain their in-flight tickets before exiting (their
         gateway ``close`` completes everything), so responses already on
-        the wire still land; anything left after the timeout is killed.
+        the wire still land.  A worker the shutdown cannot reach (its
+        handle is dead, or the send fails) is killed at once; anything
+        left after the timeout is killed.
         """
         if self._closed:
             return  # already closed, or __init__ never got to own workers
@@ -925,11 +931,18 @@ class ShardedServingCluster(TapHost, Backend):
         deadline = time.monotonic() + timeout
         for handle in shards:
             with handle.lock:  # sends share the transport with _send_request
-                if handle.alive:
+                sent = handle.alive
+                if sent:
                     try:
                         handle.transport.send(("shutdown",))
                     except TransportError:
-                        pass
+                        sent = False
+            if not sent:
+                # a forked child holds its own copy of the pipe, so closing
+                # ours is no EOF to it: a worker that cannot hear the
+                # shutdown never exits by itself.  Its reader fails what
+                # it still had pending, as after any crash.
+                handle.process.kill()
         for handle in shards:
             handle.process.join(timeout=max(0.1, deadline - time.monotonic()))
             if handle.process.is_alive():

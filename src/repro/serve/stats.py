@@ -1,6 +1,6 @@
 """Aggregated serving counters, snapshotted as immutable values.
 
-:class:`ServerStats` is one service's point-in-time view;
+:class:`ServerStats` is one served name's point-in-time view;
 :class:`GatewayStats` is the multi-model roll-up the
 :class:`~repro.serve.router.ServingGateway` exposes — per-name snapshots
 plus a field-wise total, so fleet dashboards and per-model debugging read
@@ -27,9 +27,9 @@ _MERGED_SAMPLE_CAP = 16384
 
 @dataclass(frozen=True)
 class ServerStats:
-    """One point-in-time view of a service's traffic and cache behaviour."""
+    """One point-in-time view of a served name's traffic and cache behaviour."""
 
-    requests: int           # submissions seen by the service (incl. cache hits)
+    requests: int           # submissions seen for the name (incl. cache hits)
     rows: int               # rows that reached the batcher
     batches: int            # flushes executed
     completed: int          # requests whose flush finished scoring
@@ -165,7 +165,7 @@ class ResilienceStats:
 
 @dataclass(frozen=True)
 class GatewayStats:
-    """Per-name service snapshots plus their field-wise aggregate."""
+    """Per-name snapshots plus their field-wise aggregate."""
 
     per_name: dict[str, ServerStats]
     # monitoring-tap exceptions swallowed by this gateway (observational

@@ -4,11 +4,11 @@ Registers the serve-stack markers so its tests can be selected or
 excluded while still running in the default tier-1 sweep:
 
 * ``serve`` — the whole batched-inference layer (registry, micro-batcher,
-  cache, service); every serve-stack test carries it, so
+  cache, gateway); every serve-stack test carries it, so
   ``-m "serve or gateway or shard"`` (the verify skill's smoke target) is
   the one-flag serve regression gate.
-* ``gateway`` — multi-model :class:`ServingGateway` routing, per-name
-  configuration and fleet-wide stats.
+* ``gateway`` — multi-model :class:`ServingGateway` routing, limit
+  validation and fleet-wide stats.
 * ``shard`` — the process-sharded :class:`ShardedServingCluster`: worker
   warm-start from the inherited (``fork``) or pickled (``spawn``)
   registry snapshot, hash/replicated routing, broadcast mutations,

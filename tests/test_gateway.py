@@ -19,6 +19,7 @@ from repro.serve import (
     ModelRegistry,
     ServerStats,
     ServingGateway,
+    ShardedServingCluster,
 )
 
 pytestmark = [pytest.mark.serve, pytest.mark.gateway]
@@ -72,7 +73,9 @@ class TestServingGateway:
                 out[n].append(t.result(timeout=10.0))
             # independent per-name batchers, one per routed name
             assert gw.names() == ["forest", "gbm"]
-            assert gw.service("gbm").batcher is not gw.service("forest").batcher
+            per_name = gw.stats().per_name
+            assert {n: st.requests for n, st in per_name.items()} == {
+                n: names.count(n) for n in ("gbm", "forest")}
         for name in ("gbm", "forest"):
             ref = np.array([
                 models[name].predict(r[None, :])[0]
@@ -151,45 +154,19 @@ class TestServingGateway:
                 sys.setswitchinterval(old)
             assert gw.tap_errors == n_threads * per_thread
 
-    def test_configure_overrides_apply_at_creation(self, data, gbm, forest):
+    def test_constructors_reject_bad_limits(self, data, gbm, forest):
+        """A limit out of range fails when the front door is built, not as
+        a client-facing MALFORMED_REQUEST on every submit — and a cluster
+        starts no worker to find out."""
         reg = _registry(gbm, forest)
-        with ServingGateway(reg, max_batch=256, max_delay=0.005) as gw:
-            gw.configure("gbm", max_batch=16, max_delay=0.5, cache_entries=32)
-            svc = gw.service("gbm")
-            assert svc.batcher.max_batch == 16
-            assert svc.batcher.max_delay == 0.5
-            assert svc.cache.max_entries == 32
-            assert gw.service("forest").batcher.max_batch == 256  # defaults intact
-
-    def test_configure_live_service_mutates_limits_only(self, data, gbm, forest):
-        """Batch limits are fixed at construction: on a live service every
-        override is refused, and its limits stay as they were."""
-        reg = _registry(gbm, forest)
-        with ServingGateway(reg, max_batch=256, max_delay=0.005) as gw:
-            svc = gw.service("gbm")
-            with pytest.raises(ValueError, match="live service"):
-                gw.configure("gbm", max_batch=64)
-            with pytest.raises(ValueError, match="live service"):
-                gw.configure("gbm", max_delay=0.01)
-            assert svc.batcher.max_batch == 256
-            assert svc.batcher.max_delay == 0.005
-            with pytest.raises(ValueError, match="live service"):
-                gw.configure("gbm", cache_entries=8)
-            with pytest.raises(ValueError, match="unknown config"):
-                gw.configure("forest", batch_size=8)
-
-    def test_configure_rejects_bad_values_eagerly(self, data, gbm, forest):
-        """Invalid overrides must fail at configure time, not on the first
-        request for the name — and must not persist past the raise."""
-        reg = _registry(gbm, forest)
-        with ServingGateway(reg, max_batch=32, max_delay=0.005) as gw:
-            with pytest.raises(ValueError, match="max_batch"):
-                gw.configure("gbm", max_batch=0)
-            with pytest.raises(ValueError, match="max_delay"):
-                gw.configure("gbm", max_delay=0.0)
-            with pytest.raises(ValueError, match="cache_entries"):
-                gw.configure("gbm", cache_entries=0)
-            assert gw.service("gbm").batcher.max_batch == 32  # defaults intact
+        bad = [({"max_batch": 0}, "max_batch"), ({"max_delay": 0.0}, "max_delay"),
+               ({"cache_entries": 0}, "cache_entries")]
+        for kwargs, field in bad:
+            with pytest.raises(ValueError, match=field):
+                ServingGateway(reg, **kwargs)
+            with pytest.raises(ValueError, match=field):
+                ShardedServingCluster(reg, n_shards=1, **kwargs)
+        assert reg._listeners == []  # nothing half-built stayed subscribed
 
     def test_flush_of_idle_name_creates_no_service(self, data, gbm, forest):
         reg = _registry(gbm, forest)
@@ -200,7 +177,7 @@ class TestServingGateway:
 
     def test_promote_rollback_through_gateway(self, data, gbm, forest):
         """Stage changes stay a registry concern; the gateway observes
-        them at the next batch boundary like any single-name service."""
+        them at the next batch boundary, exactly as for a single name."""
         X, y = data
         reg = _registry(gbm, forest)
         v2_model = GradientBoostingRegressor(
@@ -307,9 +284,9 @@ class TestServingGateway:
         row = _data(n=1, seed=8)[0][0]
         gw.predict("gbm", row, timeout=10.0)
         gw.predict("forest", row, timeout=10.0)
-        assert len(reg._listeners) == 2
+        assert len(reg._listeners) == 1  # one per gateway, not per name
         gw.close()
-        assert reg._listeners == []  # every service deregistered
+        assert reg._listeners == []
         with pytest.raises(RuntimeError, match="closed"):
             gw.submit("gbm", row)
         gw.close()  # idempotent
@@ -332,8 +309,8 @@ class TestCloseIdempotence:
         gw.__del__()  # finalizer path after an explicit close
         with pytest.raises(RuntimeError, match="closed"):
             gw.submit("gbm", _data(n=1, seed=5)[0][0])
-        # close() deregistered the services' listeners exactly once: a
-        # stage change afterwards must not touch the dead services
+        # close() deregistered the gateway's listener exactly once: a
+        # stage change afterwards must not touch the closed batchers
         v = reg.register("gbm", forest)
         reg.promote("gbm", v)
 
@@ -341,17 +318,6 @@ class TestCloseIdempotence:
         gw = object.__new__(ServingGateway)  # __init__ never ran
         gw.close()  # must be a silent no-op
         gw.__del__()
-
-    def test_service_double_close(self, data, gbm, forest):
-        from repro.serve import InferenceService
-
-        reg = _registry(gbm, forest)
-        svc = InferenceService(reg, "gbm", max_batch=8, max_delay=0.01)
-        assert svc.predict(_data(n=1, seed=6)[0][0], timeout=10.0) is not None
-        svc.close()
-        svc.close()
-        svc2 = object.__new__(InferenceService)  # half-built service
-        svc2.close()
 
     def test_flush_after_close_is_harmless(self, data, gbm, forest):
         reg = _registry(gbm, forest)

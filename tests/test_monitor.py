@@ -147,9 +147,9 @@ class TestReferenceSnapshot:
         reg.register("m", m1, promote=True)
         with ServingGateway(reg, max_batch=4, max_delay=0.05) as gw:
             gw.predict("m", X[0], timeout=5.0)
-            hit_before = gw.service("m").cache.invalidations
+            hit_before = gw.stats().per_name["m"].cache_invalidations
             reg.set_reference("m", X)
-            assert gw.service("m").cache.invalidations == hit_before
+            assert gw.stats().per_name["m"].cache_invalidations == hit_before
 
 
 # ---------------------------------------------------------------------- #

@@ -19,10 +19,10 @@ import pytest
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.gbm import GradientBoostingRegressor
 from repro.serve import (
-    InferenceService,
     MicroBatcher,
     ModelRegistry,
     PredictionCache,
+    ServingGateway,
     freeze_arrays,
     request_digest,
 )
@@ -508,15 +508,18 @@ class TestPredictionCache:
 
 
 class TestInferenceService:
+    """One name served through a :class:`ServingGateway`: its batcher,
+    cache, version-keyed inserts and stage-change invalidation."""
+
     def test_duplicate_requests_hit_cache(self, data):
         gbm = _fresh_gbm(data)  # registering freezes+seals: never the shared fixture
         reg = ModelRegistry()
         reg.register("m", gbm, promote=True)
         row = _data(n=1, seed=10)[0][0]
-        with InferenceService(reg, "m", max_batch=4, max_delay=0.01) as svc:
-            p1 = svc.predict(row, timeout=5.0)
-            p2 = svc.predict(row, timeout=5.0)
-            stats = svc.stats()
+        with ServingGateway(reg, max_batch=4, max_delay=0.01) as gw:
+            p1 = gw.predict("m", row, timeout=5.0)
+            p2 = gw.predict("m", row, timeout=5.0)
+            stats = gw.stats().per_name["m"]
         assert p1 == p2 == gbm.predict(row[None, :])[0]
         assert stats.cache_hits == 1
         assert stats.cache_misses == 1
@@ -528,13 +531,13 @@ class TestInferenceService:
         reg.register("m", m1, promote=True)
         reg.register("m", m2)
         row = _data(n=1, seed=11)[0][0]
-        with InferenceService(reg, "m", max_batch=4, max_delay=0.01) as svc:
-            p1 = svc.predict(row, timeout=5.0)
+        with ServingGateway(reg, max_batch=4, max_delay=0.01) as gw:
+            p1 = gw.predict("m", row, timeout=5.0)
             reg.promote("m", 2)
-            assert svc.stats().cache_invalidations >= 1
-            p2 = svc.predict(row, timeout=5.0)
+            assert gw.stats().per_name["m"].cache_invalidations >= 1
+            p2 = gw.predict("m", row, timeout=5.0)
             reg.rollback("m")
-            p3 = svc.predict(row, timeout=5.0)
+            p3 = gw.predict("m", row, timeout=5.0)
         assert p1 == m1.predict(row[None, :])[0]
         assert p2 == m2.predict(row[None, :])[0]
         assert p1 != p2  # different models, different answers
@@ -548,19 +551,20 @@ class TestInferenceService:
         reg.register("m", m1, promote=True)
         reg.register("m", m2)
         row = _data(n=1, seed=13)[0][0]
-        with InferenceService(reg, "m", max_batch=10_000, max_delay=600.0) as svc:
-            ticket = svc.submit(row)      # key carries v1
+        with ServingGateway(reg, max_batch=10_000, max_delay=600.0) as gw:
+            ticket = gw.submit("m", row)  # key carries v1
             reg.promote("m", 2)           # lands before the flush
-            svc.flush()                   # scored by v2 (flush-time resolution)
+            gw.flush()                    # scored by v2 (flush-time resolution)
             assert ticket.result(5.0) == m2.predict(row[None, :])[0]
-            assert len(svc.cache) == 0    # v2's number never filed under v1's key
+            # v2's number never filed under v1's key
+            assert gw.stats().per_name["m"].cache_entries == 0
 
     def test_close_deregisters_listener(self, data):
         reg = ModelRegistry()
         reg.register("m", _fresh_gbm(data), promote=True)
-        svc = InferenceService(reg, "m", max_batch=4, max_delay=0.01)
+        gw = ServingGateway(reg, max_batch=4, max_delay=0.01)
         assert len(reg._listeners) == 1
-        svc.close()
+        gw.close()
         assert reg._listeners == []
 
     def test_unregister_invalidates_dropped_version_cache_entries(self, data):
@@ -570,13 +574,14 @@ class TestInferenceService:
         reg = ModelRegistry()
         reg.register("m", _fresh_gbm(data, 0), promote=True)
         reg.register("m", _fresh_gbm(data, 1), promote=True)
-        with InferenceService(reg, "m", max_batch=4, max_delay=0.01) as svc:
-            svc.cache.put(("m", 1, "predict", b"retired"), 1.0)
-            svc.cache.put(("m", 2, "predict", b"live"), 2.0)
+        with ServingGateway(reg, max_batch=4, max_delay=0.01) as gw:
+            cache = gw._open("m").cache
+            cache.put(("m", 1, "predict", b"retired"), 1.0)
+            cache.put(("m", 2, "predict", b"live"), 2.0)
             reg.unregister("m", 1)
-            assert svc.cache.get(("m", 1, "predict", b"retired"))[0] is False
+            assert cache.get(("m", 1, "predict", b"retired"))[0] is False
             # surgical: the production version's warm entries survive
-            assert svc.cache.get(("m", 2, "predict", b"live"))[0] is True
+            assert cache.get(("m", 2, "predict", b"live"))[0] is True
 
     def test_mean_latency_counts_only_completed_requests(self, data):
         """Regression: total_latency_s only accumulates when a flush
@@ -586,33 +591,33 @@ class TestInferenceService:
         reg = ModelRegistry()
         reg.register("m", gbm, promote=True)
         rows = _data(n=5, seed=22)[0]
-        svc = InferenceService(reg, "m", max_batch=10_000, max_delay=600.0)
+        gw = ServingGateway(reg, max_batch=10_000, max_delay=600.0)
         try:
-            done = [svc.submit(r) for r in rows[:3]]
-            svc.flush()
+            done = [gw.submit("m", r) for r in rows[:3]]
+            gw.flush()
             for t in done:
                 t.result(timeout=5.0)
-            svc.submit(rows[3])  # still pending at snapshot time
-            svc.submit(rows[4])
-            stats = svc.stats()
+            gw.submit("m", rows[3])  # still pending at snapshot time
+            gw.submit("m", rows[4])
+            stats = gw.stats().per_name["m"]
             assert stats.requests == 5
             assert stats.completed == 3
             assert stats.total_latency_s > 0
             assert stats.mean_latency_ms == pytest.approx(1e3 * stats.total_latency_s / 3)
         finally:
-            svc.close()
+            gw.close()
 
     def test_stats_accumulate(self, data):
         forest = _fresh_forest(data)  # fresh: registering seals the model
         reg = ModelRegistry()
         reg.register("f", forest, promote=True)
         rows = _data(n=40, seed=12)[0]
-        with InferenceService(reg, "f", max_batch=16, max_delay=0.01) as svc:
-            tickets = [svc.submit(r) for r in rows]
-            svc.flush()
+        with ServingGateway(reg, max_batch=16, max_delay=0.01) as gw:
+            tickets = [gw.submit("f", r) for r in rows]
+            gw.flush()
             for t in tickets:
                 t.result(timeout=5.0)
-            stats = svc.stats()
+            stats = gw.stats().per_name["f"]
         assert stats.requests == 40
         assert stats.rows == 40
         assert stats.batches >= 2
@@ -628,15 +633,15 @@ class TestInferenceService:
         reg = ModelRegistry()
         reg.register("f", forest, promote=True)
         rows = _data(n=3, seed=13)[0]
-        with InferenceService(reg, "f", max_batch=1000, max_delay=600.0) as svc:
-            tickets = [svc.submit(r) for r in rows]
+        with ServingGateway(reg, max_batch=1000, max_delay=600.0) as gw:
+            tickets = [gw.submit("f", r) for r in rows]
             for t in tickets[:2]:
                 with pytest.raises(TimeoutError):
                     t.result(timeout=0.01)
-            stats = svc.stats()
+            stats = gw.stats().per_name["f"]
             assert stats.abandoned == 2
             assert "abandoned=2" in stats.summary()
-            svc.flush()
+            gw.flush()
             assert tickets[2].result(timeout=5.0) == float(
                 forest.predict(rows[2][None, :])[0]
             )
