@@ -57,12 +57,6 @@ N_SHARDS = 2
 MAX_BATCH = 256
 SEED = 0
 MAX_OVERHEAD_PCT = 5.0
-# deliberately larger than the time a size flush takes to fill: with a
-# razor-thin deadline, microseconds of per-request plane cost can tip the
-# oldest ticket over it and change the batch shapes (more, smaller
-# deadline flushes), so the pair would compare two batching regimes
-# instead of the plane's cost
-GATE_MAX_DELAY = 0.05
 TRACE_SAMPLE = 8
 N_KILLS = 5
 PAIRS = 7          # adjacent plain/treated pairs per round (monitor, obs)
@@ -159,8 +153,7 @@ def monitor_gate() -> dict:
         KIND, make_serve_model(KIND, N_TRAIN, N_FEATURES, N_TREES, SEED + 1))
 
     def gateway():
-        return ServingGateway(
-            registry, max_batch=MAX_BATCH, max_delay=GATE_MAX_DELAY, cache_entries=1)
+        return ServingGateway(registry, max_batch=MAX_BATCH, cache_entries=1)
 
     @contextmanager
     def plain():
@@ -343,9 +336,7 @@ def obs_gate() -> dict:
 
     @contextmanager
     def plain():
-        with ServingGateway(
-            registry, max_batch=MAX_BATCH, max_delay=GATE_MAX_DELAY, cache_entries=1,
-        ) as gw:
+        with ServingGateway(registry, max_batch=MAX_BATCH, cache_entries=1) as gw:
             yield lambda: _stream(gw.submit, gw.flush, rows)
 
     spans = []  # (recorded, dropped) per traced replay
@@ -357,8 +348,8 @@ def obs_gate() -> dict:
         # never sampled, so on-demand request forensics stay exact
         tracer = Tracer()
         with ServingGateway(
-            registry, max_batch=MAX_BATCH, max_delay=GATE_MAX_DELAY,
-            cache_entries=1, tracer=tracer, trace_sample=TRACE_SAMPLE,
+            registry, max_batch=MAX_BATCH, cache_entries=1,
+            tracer=tracer, trace_sample=TRACE_SAMPLE,
         ) as gw:
             yield lambda: _stream(gw.submit, gw.flush, rows)
         recorded = sum(tracer.recorded().values())

@@ -69,7 +69,7 @@ print(f"registered + promoted version {v1} "
       f"({registry.get_version('io-throughput').n_frozen_arrays} arrays frozen)")
 
 NAME = "io-throughput"
-with ServingGateway(registry, max_batch=64, max_delay=0.005) as gw:
+with ServingGateway(registry, max_batch=64) as gw:
     # --- micro-batched scoring of "arriving" jobs --------------------- #
     arriving = X[test[:500]]
     tickets = [gw.submit(NAME, row) for row in arriving]
@@ -111,7 +111,7 @@ cori_model = RandomForestRegressor(n_estimators=100, max_depth=12, random_state=
 cori_model.fit(Xc[:2000], yc[:2000])
 registry.register("cori-throughput", cori_model, promote=True)
 
-with ServingGateway(registry, max_batch=64, max_delay=0.005) as gw:
+with ServingGateway(registry, max_batch=64) as gw:
     theta_rows, cori_rows = X[test[:200]], Xc[2000:2200]
     stop = threading.Event()
     errors: list[Exception] = []
@@ -153,7 +153,7 @@ with ServingGateway(registry, max_batch=64, max_delay=0.005) as gw:
     print("gateway served 2 models through promote/rollback under traffic, zero errors")
     print(gw.stats().summary())
     print(f"every name ({', '.join(gw.names())}) ran with max_batch={gw.max_batch} "
-          f"max_delay={gw.max_delay} cache_entries={gw.cache_entries}")
+          f"cache_entries={gw.cache_entries}")
 
 # --- sharded cluster: the same registry served from worker processes -- #
 print("\nspawning a 2-shard serving cluster from the registry snapshot ...")
@@ -240,7 +240,7 @@ plane.watch("io-throughput")
 plane.add_rule(PsiThresholdRule(threshold=0.5, action="rollback"),
                names=["io-throughput"])
 
-with ServingGateway(registry, max_batch=64, max_delay=0.005) as gw:
+with ServingGateway(registry, max_batch=64) as gw:
     plane.attach(gw)
 
     # healthy traffic first: the window fills, no rule fires

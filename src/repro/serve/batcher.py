@@ -3,17 +3,19 @@
 A single-row ``predict`` pays the full Python/NumPy dispatch overhead for
 one sample; an arena pass over 256 coalesced rows pays it once.  The
 :class:`MicroBatcher` accepts requests from any number of threads, queues
-them FIFO, and flushes on whichever trigger fires first:
+them FIFO, and flushes on demand, always on the thread that needs it:
 
 * **size** — the pending row count reaches ``max_batch``; the submitter
-  that crossed the threshold scores the batch inline (no thread ping-pong
-  on the hot path), or
-* **deadline** — the oldest pending request has waited ``max_delay``
-  seconds; a daemon timer thread flushes, bounding tail latency when
-  traffic is sparse.  A batcher built with ``max_delay=math.inf`` starts
-  no timer: its owner flushes (the shard worker's loop does).
+  that crossed the threshold scores the batch inline;
+* **flush** — an explicit :meth:`MicroBatcher.flush` or
+  :meth:`MicroBatcher.close` (the shard worker's loop flushes once its
+  channel is empty);
+* **first waiter** — the first :meth:`Ticket.result` that finds its
+  ticket still pending drains everything pending and scores it inline.
 
-Both limits are fixed at construction.  A flush snapshots the queue in
+No request waits for a timer: a batch is whatever arrived before someone
+needed an answer, and the batcher starts no thread of its own.
+``max_batch`` is fixed at construction.  A flush snapshots the queue in
 arrival order, groups requests by kind (``predict`` / ``predict_dist``),
 and scores the groups in order of first arrival; each group rides one
 batch-of-batches estimator call (``predict_many``).
@@ -26,7 +28,6 @@ arena itself.
 from __future__ import annotations
 
 import copy
-import math
 import threading
 import time
 from collections import deque
@@ -64,18 +65,17 @@ class Ticket:
     """Handle for one submitted request; blocks in :meth:`result`."""
 
     __slots__ = (
-        "kind", "block", "single_row", "token", "seq", "deadline",
-        "enqueued_at", "batch_seq", "batch_pos", "trace", "trace_t0",
+        "kind", "block", "single_row", "token", "seq", "enqueued_at", "batch_seq", "batch_pos", "trace", "trace_t0",
         "trace_drained", "_event", "_value", "_error", "_owner",
     )
 
-    def __init__(self, kind: str, block: np.ndarray, single_row: bool, token: Any):
+    def __init__(self, kind: str, block: np.ndarray, single_row: bool, token: Any,
+                 owner: "MicroBatcher"):
         self.kind = kind
         self.block = block
         self.single_row = single_row
         self.token = token
         self.seq = -1
-        self.deadline = 0.0
         self.enqueued_at = 0.0
         self.batch_seq = -1     # which flush scored this ticket
         self.batch_pos = -1     # position inside that flush (FIFO witness)
@@ -85,7 +85,7 @@ class Ticket:
         self._event = threading.Event()
         self._value: Any = None
         self._error: BaseException | None = None
-        self._owner: "MicroBatcher | None" = None  # tombstone path on timeout
+        self._owner = owner  # scores it on demand
 
     def done(self) -> bool:
         return self._event.is_set()
@@ -93,23 +93,17 @@ class Ticket:
     def result(self, timeout: float | None = None) -> Any:
         """The request's prediction (scalar for 1-D submissions).
 
-        A timeout **tombstones** the ticket: if it is still queued, it is
-        pulled out of the pending slot so a later flush never scores work
-        nobody will collect, and every subsequent ``result()`` call fails
-        immediately with the same coded ``DEADLINE_EXCEEDED`` error
-        instead of blocking again.  (A ticket already drained into an
-        in-flight flush completes normally whenever that flush finishes.)
+        A ticket still pending is scored here, on the caller's thread,
+        together with everything queued with it.  ``timeout`` bounds only
+        the wait for a flush another thread is already running; when it
+        expires the call raises a coded ``DEADLINE_EXCEEDED`` error and a
+        later call may still collect the value.
         """
+        if not self._event.is_set():
+            self._owner._demand(self)
         if not self._event.wait(timeout):
-            if self._owner is not None:
-                self._owner._abandon(self)
-            # A flush may complete the ticket between the wait expiring and
-            # the abandon finding it already drained (the abandon is then a
-            # no-op).  The value was computed, counted, and cached — hand
-            # it over instead of discarding it behind a deadline error.
-            if not self._event.is_set():
-                raise coded(TimeoutError("request not completed within timeout"),
-                            ErrorCode.DEADLINE_EXCEEDED)
+            raise coded(TimeoutError("request not completed within timeout"),
+                        ErrorCode.DEADLINE_EXCEEDED)
         if self._error is not None:
             # a private copy per raise: concurrent result() callers on one
             # shared ticket must not race on __traceback__ mutation
@@ -150,9 +144,6 @@ class MicroBatcher:
         also accepted.
     max_batch:
         Row-count flush threshold (size trigger).
-    max_delay:
-        Seconds the oldest request may wait before a deadline flush;
-        ``math.inf`` means never (no timer thread is started).
     on_result:
         Optional ``fn(ticket, value)`` called before a ticket completes —
         the prediction cache's insertion hook.
@@ -162,16 +153,12 @@ class MicroBatcher:
         self,
         model_fn: Callable[[], Any] | Any,
         max_batch: int = 256,
-        max_delay: float = 0.005,
         on_result: Callable[[Ticket, Any], None] | None = None,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if max_delay <= 0:
-            raise ValueError("max_delay must be > 0")
         self._model_fn = model_fn if callable(model_fn) else (lambda: model_fn)
         self.max_batch = int(max_batch)
-        self.max_delay = float(max_delay)
         self._on_result = on_result
 
         self._lock = threading.Lock()
@@ -181,8 +168,6 @@ class MicroBatcher:
         self._next_seq = 0
         self._next_batch = 0
         self._closed = False
-        self._timer: threading.Thread | None = None
-        self._flushers: set[threading.Thread] = set()  # live deadline-flush threads
         self._in_flight = 0  # batches drained but not yet fully scored
 
         # counters (guarded by _lock)
@@ -191,9 +176,7 @@ class MicroBatcher:
         self.batches = 0
         self.completed = 0  # tickets whose flush finished scoring
         self.size_flushes = 0
-        self.deadline_flushes = 0
-        self.manual_flushes = 0
-        self.abandoned = 0  # tickets tombstoned by a result() timeout
+        self.manual_flushes = 0  # flush(), close() and first-waiter flushes
         self.latency_dropped = 0  # ring samples evicted by overwrite
         self.total_latency_s = 0.0
         # bounded ring of recent per-request latencies (seconds): the
@@ -240,8 +223,7 @@ class MicroBatcher:
         elif arr.ndim != 2:
             raise coded(ValueError(f"request must be 1-D or 2-D, got ndim={arr.ndim}"),
                         ErrorCode.MALFORMED_REQUEST)
-        ticket = Ticket(kind, arr, single, token)
-        ticket._owner = self
+        ticket = Ticket(kind, arr, single, token, self)
         if trace is not None:
             ticket.trace = trace
             ticket.trace_t0 = trace.now()
@@ -250,11 +232,9 @@ class MicroBatcher:
         with self._lock:
             if self._closed:
                 raise coded(RuntimeError("MicroBatcher is closed"), ErrorCode.CLOSED)
-            now = time.monotonic()
             ticket.seq = self._next_seq
             self._next_seq += 1
-            ticket.enqueued_at = now
-            ticket.deadline = now + self.max_delay
+            ticket.enqueued_at = time.monotonic()
             self._pending.append(ticket)
             self._pending_rows += arr.shape[0]
             self.requests += 1
@@ -262,12 +242,6 @@ class MicroBatcher:
             if self._pending_rows >= self.max_batch:
                 batch = self._drain_locked()
                 self.size_flushes += 1
-            else:
-                self._arm_timer_locked()
-                if self._timer is not None and len(self._pending) == 1:
-                    # deadlines are FIFO-monotonic: only an empty→non-empty
-                    # transition can move the head the timer is watching
-                    self._cond.notify_all()
         if batch:
             self._process(batch)
         return ticket
@@ -283,8 +257,8 @@ class MicroBatcher:
         return len(batch) if batch else 0
 
     def close(self, timeout: float = 5.0) -> bool:
-        """Flush the queue, stop the deadline thread, and wait up to
-        ``timeout`` seconds for every in-flight flush to finish scoring.
+        """Flush the queue and wait up to ``timeout`` seconds for every
+        in-flight flush (one scoring inline in another thread) to finish.
 
         Returns ``True`` when all accepted tickets completed within the
         timeout; ``False`` means a flush was still scoring when the wait
@@ -294,23 +268,8 @@ class MicroBatcher:
         """
         deadline = time.monotonic() + timeout
         with self._lock:
-            already_closed = self._closed
-            self._closed = True
-            batch = self._drain_locked() if not already_closed else []
-            if batch:
-                self.manual_flushes += 1
-            self._cond.notify_all()
-            timer = self._timer
-        if batch:
-            self._process(batch)
-        if timer is not None:
-            timer.join(timeout=max(0.0, deadline - time.monotonic()))
-        with self._lock:
-            flushers = list(self._flushers)
-        for t in flushers:
-            t.join(timeout=max(0.0, deadline - time.monotonic()))
-        # size-triggered flushes run inline in *other* submitter threads —
-        # wait for every drained batch to finish scoring
+            self._closed = True  # no submit lands after the flush below
+        self.flush()
         with self._lock:
             while self._in_flight > 0:
                 remaining = deadline - time.monotonic()
@@ -326,9 +285,11 @@ class MicroBatcher:
                 "batches": self.batches,
                 "completed": self.completed,
                 "size_flushes": self.size_flushes,
-                "deadline_flushes": self.deadline_flushes,
                 "manual_flushes": self.manual_flushes,
-                "abandoned": self.abandoned,
+                # retired (no deadline timer, no tombstones): kept in the
+                # counter vocabulary, always 0
+                "deadline_flushes": 0,
+                "abandoned": 0,
                 "latency_dropped": self.latency_dropped,
                 "total_latency_s": self.total_latency_s,
             }
@@ -341,30 +302,15 @@ class MicroBatcher:
             return tuple(self._latency_ring)
 
     # ------------------------------------------------------------------ #
-    def _abandon(self, ticket: Ticket) -> None:
-        """Tombstone a ticket whose ``result(timeout=)`` expired.
-
-        Only a ticket still sitting in the pending queue is pulled out (and
-        completed with its coded timeout, so later ``result()`` calls fail
-        fast instead of re-blocking); a ticket already drained into an
-        in-flight flush is left alone — that flush owns its completion.
-        Removing a queued ticket frees its slot, so repeated timeouts can
-        never leak pending rows or pin the deadline timer on dead work.
-        """
+    def _demand(self, ticket: Ticket) -> None:
+        """First-waiter flush: score ``ticket``'s batch on the caller's
+        thread, unless a flush has already drained it."""
         with self._lock:
-            try:
-                self._pending.remove(ticket)
-            except ValueError:
-                return  # already drained (or already tombstoned)
-            self._pending_rows -= ticket.block.shape[0]
-            self.abandoned += 1
-            # the head deadline the timer watches may have changed
-            self._cond.notify_all()
-        ticket._complete(
-            None,
-            coded(TimeoutError("request abandoned: result() timed out"),
-                  ErrorCode.DEADLINE_EXCEEDED),
-        )
+            if ticket.batch_seq >= 0:
+                return  # that flush completes it
+            batch = self._drain_locked()
+            self.manual_flushes += 1
+        self._process(batch)
 
     def _drain_locked(self) -> list[Ticket]:
         batch = self._pending
@@ -383,50 +329,6 @@ class MicroBatcher:
                         drained_at = t.trace.now()
                     t.trace_drained = drained_at
         return batch
-
-    def _arm_timer_locked(self) -> None:
-        """Start the deadline thread on first need; a batcher whose
-        ``max_delay`` is ``math.inf`` never needs one."""
-        if self._timer is None and self.max_delay != math.inf:
-            self._timer = threading.Thread(
-                target=self._timer_loop, name="microbatcher-deadline", daemon=True
-            )
-            self._timer.start()
-
-    def _timer_loop(self) -> None:
-        while True:
-            batch: list[Ticket] | None = None
-            with self._lock:
-                while not self._closed and batch is None:
-                    if not self._pending:
-                        self._cond.wait()
-                        continue
-                    wait = self._pending[0].deadline - time.monotonic()
-                    if wait > 0:
-                        self._cond.wait(wait)
-                        continue
-                    batch = self._drain_locked()
-                    self.deadline_flushes += 1
-                if self._closed and batch is None:
-                    return
-            # score off-thread so the timer immediately resumes watching
-            # deadlines: a slow flush must not stall the next deadline
-            # (this path only runs under sparse traffic, so the thread
-            # spawn cost is noise next to max_delay); close() joins these
-            self._spawn_flusher(batch)
-
-    def _spawn_flusher(self, batch: list[Ticket]) -> None:
-        def run() -> None:
-            try:
-                self._process(batch)
-            finally:
-                with self._lock:
-                    self._flushers.discard(thread)
-
-        thread = threading.Thread(target=run, name="microbatcher-flush", daemon=True)
-        with self._lock:
-            self._flushers.add(thread)
-        thread.start()
 
     def _process(self, batch: list[Ticket]) -> None:
         groups: dict[str, list[Ticket]] = {}  # kinds in order of first arrival

@@ -106,8 +106,11 @@ class AsyncServeServer:
         Largest acceptable frame; oversized headers are refused before
         allocation.
     request_timeout:
-        Collector-side cap on one ticket; a wedged flush answers with a
-        coded ``DEADLINE_EXCEEDED`` instead of damming the connection.
+        Collector-side cap on one ticket; a wedged flush running
+        elsewhere answers with a coded ``DEADLINE_EXCEEDED`` instead of
+        damming the connection.  (Over an in-process gateway the
+        collector scores a still-pending ticket itself; that flush is
+        not cut short.)
     tracer:
         Optional :class:`~repro.serve.obs.trace.Tracer` — the obs plane's
         edge attachment.  A request then gets a trace context (born here

@@ -62,9 +62,10 @@ METRICS: tuple[MetricSpec, ...] = (
     MetricSpec("repro_serve_completed_total", "counter",
                "Requests whose flush finished scoring"),
     MetricSpec("repro_serve_flushes_total", "counter",
-               "Flushes by trigger (label: trigger=size|deadline|manual)"),
+               "Flushes by trigger (label: trigger=size|deadline|manual; "
+               "deadline is deprecated and reads 0)"),
     MetricSpec("repro_serve_abandoned_total", "counter",
-               "Tickets tombstoned by a result() timeout"),
+               "Deprecated: always 0 (a timed-out wait leaves no ticket behind)"),
     MetricSpec("repro_serve_cache_hits_total", "counter",
                "Prediction-cache hits"),
     MetricSpec("repro_serve_cache_misses_total", "counter",

@@ -15,7 +15,10 @@ down in one call.
 
 A name's batcher binds the registry *name*, not a model object: every
 flush resolves the current production version, so promotes and rollbacks
-take effect at the next batch boundary with no coordination.  ``submit``
+take effect at the next batch boundary with no coordination.  A name's
+partial batch is scored by whoever needs it first — a full batch's
+submitter, :meth:`~ServingGateway.flush`, or the first ``result()`` call
+on one of its tickets — so the gateway starts no thread.  ``submit``
 consults the name's cache first — keys carry the production version, so a
 hit is always consistent with the model that would score a miss — and
 scored results are inserted back for the next duplicate request (HPC
@@ -51,17 +54,14 @@ from repro.serve.stats import GatewayStats, ServerStats
 __all__ = ["ServingGateway"]
 
 
-def check_limits(max_batch: int, max_delay: float,
-                 cache_entries: int) -> tuple[int, float, int]:
+def check_limits(max_batch: int, cache_entries: int) -> tuple[int, int]:
     """The per-name limits, typed; a bad one is a ``ValueError`` here, at
     construction, not a client-facing error on every request."""
     if max_batch < 1:
         raise ValueError("max_batch must be >= 1")
-    if max_delay <= 0:
-        raise ValueError("max_delay must be > 0")
     if cache_entries < 1:
         raise ValueError("cache_entries must be >= 1")
-    return int(max_batch), float(max_delay), int(cache_entries)
+    return int(max_batch), int(cache_entries)
 
 
 class _PerName:
@@ -93,7 +93,7 @@ class _PerName:
                 cache.put(ticket.token, value)
 
         self.batcher = MicroBatcher(resolve, max_batch=gateway.max_batch,
-                                    max_delay=gateway.max_delay, on_result=insert)
+                                    on_result=insert)
 
     def stats(self) -> ServerStats:
         # batcher and cache are sampled without one global lock: under
@@ -129,9 +129,11 @@ class ServingGateway(TapHost, Backend):
         The shared :class:`~repro.serve.registry.ModelRegistry`.  The
         gateway never registers or promotes — rollout stays a registry
         concern; it only reads.
-    max_batch, max_delay, cache_entries:
-        Every name's batch size and delay limits and cache capacity,
-        fixed at construction (a value out of range is a ``ValueError``).
+    max_batch, cache_entries:
+        Every name's batch size limit and cache capacity, fixed at
+        construction (a value out of range is a ``ValueError``).  A
+        partial batch flushes when its first waiter calls ``result()``
+        (see :mod:`repro.serve.batcher`), so there is no delay knob.
     tracer:
         Optional :class:`~repro.serve.obs.trace.Tracer`.  When set, every
         ``trace_sample``-th ``submit`` without an inbound trace context
@@ -153,15 +155,13 @@ class ServingGateway(TapHost, Backend):
         self,
         registry: ModelRegistry,
         max_batch: int = 256,
-        max_delay: float = 0.005,
         cache_entries: int = 4096,
         tracer: Any = None,
         trace_sample: int = 1,
     ):
         super().__init__()
         self._init_tracing(tracer, trace_sample)
-        self.max_batch, self.max_delay, self.cache_entries = check_limits(
-            max_batch, max_delay, cache_entries)
+        self.max_batch, self.cache_entries = check_limits(max_batch, cache_entries)
         self.registry = registry
         self._per_name: dict[str, _PerName] = {}
         self._lock = threading.Lock()

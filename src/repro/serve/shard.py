@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 import multiprocessing
 import pickle
 import threading
@@ -189,6 +188,7 @@ def _worker_main(
     transport_spec: tuple,
     snapshot: dict[str, dict[str, Any]],
     gateway_kwargs: dict[str, Any],
+    max_delay: float,
     trace_rings: int = 0,
 ) -> None:
     """One shard: a gateway replica on one thread, driven by its channel.
@@ -204,9 +204,9 @@ def _worker_main(
     one message, so a batch is whatever arrived while the previous
     flush was scoring.  While the channel stays busy it sends only the
     finished prefix (cache hits, op replies), and flushes once the last
-    flush is ``max_delay`` old: the batchers run with ``math.inf`` (no
-    deadline thread), so the loop keeps the bound — no ticket waits
-    longer than ``max_delay`` plus the handling of one message.
+    flush is ``max_delay`` old, so no ticket waits longer than
+    ``max_delay`` plus the handling of one message.  The loop is the
+    only flusher: it never calls ``result()`` on a pending ticket.
 
     ``snapshot`` is the parent's
     :meth:`~repro.serve.registry.ModelRegistry.snapshot`: inherited under
@@ -232,8 +232,7 @@ def _worker_main(
         tracer = Tracer(ring_size=trace_rings)
     registry = ModelRegistry()
     registry.restore(snapshot)
-    max_delay = gateway_kwargs["max_delay"]
-    gateway = ServingGateway(registry, **{**gateway_kwargs, "max_delay": math.inf})
+    gateway = ServingGateway(registry, **gateway_kwargs)
     # (req_id, ticket or error, trace context, trace-clock enqueue time)
     fifo: deque[tuple[int, Any, Any, float]] = deque()
 
@@ -424,10 +423,13 @@ class ShardedServingCluster(TapHost, Backend):
         protocol on a loopback TCP socket (token-handshaked, binary
         ndarray frames) — bit-identical results, multi-node-shaped
         plumbing.  See :mod:`repro.serve.transport`.
-    max_batch, max_delay, cache_entries:
+    max_batch, cache_entries:
         Each worker gateway's limits, exactly as in a single-process
         gateway (a value out of range is a ``ValueError`` before any
         worker starts).
+    max_delay:
+        The worker loop's backstop: while a worker's channel stays busy
+        it still flushes once its last flush is this many seconds old.
     request_timeout:
         Parent-side budget shared by one fan-out (``stats``, ``flush``,
         ``trace_spans``, broadcasts): a shard still silent when it is
@@ -477,8 +479,9 @@ class ShardedServingCluster(TapHost, Backend):
                 f"transport must be one of {_TRANSPORTS}, got {transport!r}")
         # checked here, before any worker exists: a bad limit would
         # otherwise fail every submit on every shard
-        max_batch, max_delay, cache_entries = check_limits(
-            max_batch, max_delay, cache_entries)
+        max_batch, cache_entries = check_limits(max_batch, cache_entries)
+        if max_delay <= 0:
+            raise ValueError("max_delay must be > 0")
         self.registry = registry
         self.route = route
         self.transport = transport
@@ -488,11 +491,8 @@ class ShardedServingCluster(TapHost, Backend):
         # workers rebuild their own tracer from the ring size alone (a
         # Tracer holds locks and a clock — it must not cross the pickle)
         self._trace_rings = int(getattr(tracer, "ring_size", 0)) if tracer else 0
-        self._gateway_kwargs = {
-            "max_batch": max_batch,
-            "max_delay": max_delay,
-            "cache_entries": cache_entries,
-        }
+        self._gateway_kwargs = {"max_batch": max_batch, "cache_entries": cache_entries}
+        self._max_delay = float(max_delay)
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"
@@ -522,7 +522,8 @@ class ShardedServingCluster(TapHost, Backend):
             parent_end = parent_conn
         process = self._ctx.Process(
             target=_worker_main,
-            args=(spec, snapshot, self._gateway_kwargs, self._trace_rings),
+            args=(spec, snapshot, self._gateway_kwargs, self._max_delay,
+                  self._trace_rings),
             name=f"serve-shard-{shard_id}",
             daemon=True,
         )
@@ -678,8 +679,9 @@ class ShardedServingCluster(TapHost, Backend):
     ) -> ClusterTicket | None:
         """Enqueue one request on ``handle``; ``None`` means the shard is
         dead (or its transport broke mid-send, in which case it is marked
-        dead so the next :meth:`_pick_shard` skips it) and the caller may
-        try another shard instead of surfacing the failure."""
+        dead so the next :meth:`_pick_shard` skips it, and its worker is
+        killed) and the caller may try another shard instead of
+        surfacing the failure."""
         ticket = ClusterTicket(handle.shard_id)
         if trace is not None:
             ticket.trace = trace
@@ -699,7 +701,11 @@ class ShardedServingCluster(TapHost, Backend):
                 handle.transport.send((op, req_id, *args))
             except TransportError:
                 handle.pending.pop(req_id, None)
-                handle.alive = False  # the reader will confirm via its own error
+                handle.alive = False
+                # nothing routes to it again, and nothing else would stop
+                # it before close() or respawn(); its reader then fails
+                # whatever it still had pending
+                handle.process.kill()
                 return None
         return ticket
 

@@ -34,9 +34,9 @@ class ServerStats:
     batches: int            # flushes executed
     completed: int          # requests whose flush finished scoring
     size_flushes: int
-    deadline_flushes: int
-    manual_flushes: int
-    abandoned: int          # tickets tombstoned by a result() timeout
+    deadline_flushes: int   # deprecated: no deadline timer, always 0
+    manual_flushes: int     # flush(), close() and first-waiter flushes
+    abandoned: int          # deprecated: no ticket tombstones, always 0
     cache_hits: int
     cache_misses: int
     cache_evictions: int

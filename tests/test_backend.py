@@ -66,7 +66,7 @@ def _cluster(registry, **kw):
 
 
 def _gateway(registry):
-    return ServingGateway(registry, max_batch=8, max_delay=0.005), []
+    return ServingGateway(registry, max_batch=8), []
 
 
 def _pipe_cluster(registry):
@@ -247,7 +247,7 @@ def test_an_unsampled_request_traces_nothing_below(registry, forest):
     # upstream decision, directly and through a retry controller
     tracer = Tracer()
     row = _rows(1, seed=8)[0]
-    with ServingGateway(registry, max_batch=8, max_delay=0.005, tracer=tracer) as gw:
+    with ServingGateway(registry, max_batch=8, tracer=tracer) as gw:
         rc = RetryController(gw, deadline_s=30.0)
         for backend in (gw, rc):
             assert backend.submit("forest", row, trace=UNSAMPLED).result(30.0) == \

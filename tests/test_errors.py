@@ -267,7 +267,7 @@ class TestBoundaryAdoption:
         assert code_of(info.value) is ErrorCode.INVALID_MUTATION
 
     def test_batcher_malformed_kind_and_shape(self):
-        with MicroBatcher(_Linear(), max_batch=4, max_delay=0.5) as mb:
+        with MicroBatcher(_Linear(), max_batch=4) as mb:
             with pytest.raises(ValueError) as info:
                 mb.submit(np.zeros(3), kind="explain")
             assert code_of(info.value) is ErrorCode.MALFORMED_REQUEST
@@ -276,7 +276,7 @@ class TestBoundaryAdoption:
             assert code_of(info.value) is ErrorCode.MALFORMED_REQUEST
 
     def test_batcher_closed(self):
-        mb = MicroBatcher(_Linear(), max_batch=4, max_delay=0.5)
+        mb = MicroBatcher(_Linear(), max_batch=4)
         mb.close()
         with pytest.raises(RuntimeError) as info:
             mb.submit(np.zeros(3))
@@ -287,7 +287,7 @@ class TestBoundaryAdoption:
             def predict(self, X):
                 raise RuntimeError("model exploded")
 
-        with MicroBatcher(Broken(), max_batch=64, max_delay=5.0) as mb:
+        with MicroBatcher(Broken(), max_batch=64) as mb:
             ticket = mb.submit(np.zeros(3))
             mb.flush()
             with pytest.raises(RuntimeError) as info:
@@ -298,7 +298,7 @@ class TestBoundaryAdoption:
         def resolve():
             raise LookupError("no production version")
 
-        with MicroBatcher(resolve, max_batch=64, max_delay=5.0) as mb:
+        with MicroBatcher(resolve, max_batch=64) as mb:
             ticket = mb.submit(np.zeros(3))
             mb.flush()
             with pytest.raises(LookupError) as info:

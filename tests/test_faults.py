@@ -59,61 +59,32 @@ def registry(forest):
 # micro-batcher: abandoned tickets must not leak queue slots
 # --------------------------------------------------------------------- #
 class TestAbandonedTickets:
-    def test_timed_out_result_tombstones_the_pending_entry(self, forest):
-        row = _data(n=1, seed=3)[0][0]
-        # max_delay huge and batch far from full: nothing will ever flush
-        with MicroBatcher(forest, max_batch=10_000, max_delay=600.0) as mb:
-            t = mb.submit(row)
-            with pytest.raises(TimeoutError) as info:
-                t.result(timeout=0.01)
-            assert code_of(info.value) is ErrorCode.DEADLINE_EXCEEDED
-            assert mb.counters()["abandoned"] == 1
-            assert mb._pending == [] and mb._pending_rows == 0  # slot freed
+    """A caller that gives up on a ticket leaves nothing behind: a wait
+    that finds its ticket pending scores it, so no row stays queued."""
 
-    def test_abandoned_slot_does_not_wedge_later_traffic(self, forest):
+    def test_a_timed_out_wait_leaves_no_pending_row(self, forest):
         rows = _data(n=8, seed=4)[0]
-        with MicroBatcher(forest, max_batch=10_000, max_delay=600.0) as mb:
-            dead = mb.submit(rows[0])
-            with pytest.raises(TimeoutError):
-                dead.result(timeout=0.01)
-            live = [mb.submit(r) for r in rows[1:]]
-            mb.flush()
-            got = np.array([t.result(timeout=20.0) for t in live])
-            ref = np.array([forest.predict(r[None, :])[0] for r in rows[1:]])
-            assert np.array_equal(got, ref)
-            # the dead ticket stays dead: its answer was never computed
-            with pytest.raises(TimeoutError):
-                dead.result(timeout=0.0)
-            assert mb.counters()["abandoned"] == 1
-
-    def test_abandonment_storm_leaks_no_rows(self, forest):
-        rows = _data(n=32, seed=5)[0]
-        with MicroBatcher(forest, max_batch=10_000, max_delay=600.0) as mb:
-            for r in rows:
-                with pytest.raises(TimeoutError):
-                    mb.submit(r).result(timeout=0.0)
-            assert mb.counters()["abandoned"] == len(rows)
+        ref = np.array([forest.predict(r[None, :])[0] for r in rows])
+        # batch far from full: only a waiter or a flush() scores anything
+        with MicroBatcher(forest, max_batch=10_000) as mb:
+            tickets = [mb.submit(r) for r in rows]
+            got = [t.result(timeout=0.0) for t in tickets]
             assert mb._pending == [] and mb._pending_rows == 0
+            assert np.array_equal(np.array(got), ref)
             assert mb.flush() == 0  # nothing left to flush
-
-    def test_flush_wins_the_race_against_abandonment(self, forest):
-        """A ticket drained by flush before ``_abandon`` runs keeps its
-        real answer; the tombstone path is a no-op."""
-        row = _data(n=1, seed=6)[0][0]
-        with MicroBatcher(forest, max_batch=10_000, max_delay=600.0) as mb:
-            t = mb.submit(row)
-            mb.flush()
-            value = t.result(timeout=20.0)
-            mb._abandon(t)  # late abandon: caller's timer fired anyway
-            assert t.result(timeout=0.0) == value  # answer unchanged
-            assert mb.counters()["abandoned"] == 0
+            # later traffic is not wedged, and the answers stay put
+            late = mb.submit(rows[0])
+            assert late.result(timeout=0.0) == ref[0]
+            assert [t.result(timeout=0.0) for t in tickets] == got
+            c = mb.counters()
+            assert (c["batches"], c["abandoned"], c["deadline_flushes"]) == (2, 0, 0)
 
     def test_concurrent_abandoners_and_flushers(self, forest):
         """Half the callers give up with tiny timeouts while a flusher
         hammers; every ticket either carries its bit-exact answer or a
         DEADLINE_EXCEEDED — and no pending row survives."""
         rows = _data(n=64, seed=7)[0]
-        with MicroBatcher(forest, max_batch=8, max_delay=0.002) as mb:
+        with MicroBatcher(forest, max_batch=8) as mb:
             outcomes: list[tuple[int, object]] = []
             lock = threading.Lock()
 
@@ -177,6 +148,27 @@ class TestReplicatedRouting:
             ref = np.array([model.predict(r[None, :])[0] for r in rows])
             assert np.array_equal(got, ref)
             assert not victim.alive  # the failed send marked it dead
+
+    def test_a_shard_that_snaps_at_send_time_is_killed_at_once(self, registry):
+        """A handle marked dead by a failed send has its worker killed
+        there and then — not left running until close() or respawn()."""
+        rows = _data(n=12, seed=8)[0]
+        with ShardedServingCluster(
+            registry, n_shards=2, route="replicated", max_batch=16, max_delay=0.005
+        ) as cluster:
+            victim = cluster._shards[0]
+            victim.transport = _SnappedTransport(victim.transport)
+            tickets = [cluster.submit("forest", r) for r in rows]
+            assert not victim.alive  # the failed send marked it dead...
+            deadline = time.monotonic() + 2.0
+            while victim.process.is_alive() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not victim.process.is_alive()  # ...and killed it
+            cluster.flush()
+            got = np.array([t.result(timeout=20.0) for t in tickets])
+            model = registry.get("forest")
+            assert np.array_equal(got, np.array([model.predict(r[None, :])[0] for r in rows]))
+            assert cluster.live_shards() == [1]
 
     def test_round_robin_skips_known_dead_shards(self, registry):
         rows = _data(n=12, seed=9)[0]

@@ -65,7 +65,7 @@ class TestServingGateway:
         models = {"gbm": gbm, "forest": forest}
         rows = _data(n=120, seed=3)[0]
         names = ["gbm" if i % 3 else "forest" for i in range(len(rows))]
-        with ServingGateway(reg, max_batch=32, max_delay=0.02) as gw:
+        with ServingGateway(reg, max_batch=32) as gw:
             tickets = [(n, gw.submit(n, r)) for n, r in zip(names, rows)]
             gw.flush()
             out = {"gbm": [], "forest": []}
@@ -86,7 +86,7 @@ class TestServingGateway:
     def test_lazy_creation_and_unknown_name(self, data, gbm, forest):
         reg = _registry(gbm, forest)
         row = _data(n=1, seed=4)[0][0]
-        with ServingGateway(reg, max_batch=4, max_delay=0.01) as gw:
+        with ServingGateway(reg, max_batch=4) as gw:
             assert gw.names() == []
             gw.predict("gbm", row, timeout=10.0)
             assert gw.names() == ["gbm"]  # only the touched name is live
@@ -99,7 +99,7 @@ class TestServingGateway:
         name's co-scheduled stream stays bit-identical and error-free."""
         reg = _registry(gbm, forest)
         rows = _data(n=40, seed=5)[0]
-        with ServingGateway(reg, max_batch=10_000, max_delay=600.0) as gw:
+        with ServingGateway(reg, max_batch=10_000) as gw:
             good_f = [gw.submit("forest", r) for r in rows[:20]]
             bad = [gw.submit("gbm", np.zeros(rows.shape[1] + 3)) for _ in range(4)]
             good_g = [gw.submit("gbm", r) for r in rows[20:]]
@@ -133,7 +133,7 @@ class TestServingGateway:
 
         row = np.zeros(6)
         n_threads, per_thread = 8, 400
-        with ServingGateway(reg, max_batch=4, max_delay=0.01) as gw:
+        with ServingGateway(reg, max_batch=4) as gw:
             gw.add_tap(Raising())
             barrier = threading.Barrier(n_threads)
 
@@ -159,18 +159,20 @@ class TestServingGateway:
         a client-facing MALFORMED_REQUEST on every submit — and a cluster
         starts no worker to find out."""
         reg = _registry(gbm, forest)
-        bad = [({"max_batch": 0}, "max_batch"), ({"max_delay": 0.0}, "max_delay"),
-               ({"cache_entries": 0}, "cache_entries")]
+        bad = [({"max_batch": 0}, "max_batch"), ({"cache_entries": 0}, "cache_entries")]
         for kwargs, field in bad:
             with pytest.raises(ValueError, match=field):
                 ServingGateway(reg, **kwargs)
             with pytest.raises(ValueError, match=field):
                 ShardedServingCluster(reg, n_shards=1, **kwargs)
+        # max_delay is the worker loop's backstop: a cluster-only limit
+        with pytest.raises(ValueError, match="max_delay"):
+            ShardedServingCluster(reg, n_shards=1, max_delay=0.0)
         assert reg._listeners == []  # nothing half-built stayed subscribed
 
     def test_flush_of_idle_name_creates_no_service(self, data, gbm, forest):
         reg = _registry(gbm, forest)
-        with ServingGateway(reg, max_batch=4, max_delay=0.01) as gw:
+        with ServingGateway(reg, max_batch=4) as gw:
             assert gw.flush("forest") == 0
             assert gw.flush("never-registered") == 0
             assert gw.names() == []  # nothing was stood up just to flush
@@ -185,7 +187,7 @@ class TestServingGateway:
         ).fit(X, y)
         v2 = reg.register("gbm", v2_model)
         row = _data(n=1, seed=6)[0][0]
-        with ServingGateway(reg, max_batch=4, max_delay=0.01) as gw:
+        with ServingGateway(reg, max_batch=4) as gw:
             p1 = gw.predict("gbm", row, timeout=10.0)
             f1 = gw.predict("forest", row, timeout=10.0)
             reg.promote("gbm", v2)
@@ -201,7 +203,7 @@ class TestServingGateway:
     def test_aggregate_stats_match_per_name_sums(self, data, gbm, forest):
         reg = _registry(gbm, forest)
         rows = _data(n=30, seed=7)[0]
-        with ServingGateway(reg, max_batch=8, max_delay=0.01) as gw:
+        with ServingGateway(reg, max_batch=8) as gw:
             for r in rows[:20]:
                 gw.predict("gbm", r, timeout=10.0)
             for r in rows[20:]:
@@ -280,7 +282,7 @@ class TestServingGateway:
 
     def test_close_tears_everything_down(self, data, gbm, forest):
         reg = _registry(gbm, forest)
-        gw = ServingGateway(reg, max_batch=4, max_delay=0.01)
+        gw = ServingGateway(reg, max_batch=4)
         row = _data(n=1, seed=8)[0][0]
         gw.predict("gbm", row, timeout=10.0)
         gw.predict("forest", row, timeout=10.0)
@@ -302,7 +304,7 @@ class TestCloseIdempotence:
 
     def test_gateway_double_close_and_del(self, data, gbm, forest):
         reg = _registry(gbm, forest)
-        gw = ServingGateway(reg, max_batch=8, max_delay=0.01)
+        gw = ServingGateway(reg, max_batch=8)
         assert gw.predict("gbm", _data(n=1, seed=5)[0][0], timeout=10.0) is not None
         gw.close()
         gw.close()  # second close: no re-teardown, no raise
@@ -321,7 +323,7 @@ class TestCloseIdempotence:
 
     def test_flush_after_close_is_harmless(self, data, gbm, forest):
         reg = _registry(gbm, forest)
-        gw = ServingGateway(reg, max_batch=8, max_delay=0.01)
+        gw = ServingGateway(reg, max_batch=8)
         gw.predict("forest", _data(n=1, seed=7)[0][0], timeout=10.0)
         gw.close()
         assert gw.flush() == 0  # nothing pending, nothing raised

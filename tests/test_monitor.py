@@ -145,7 +145,7 @@ class TestReferenceSnapshot:
         X, y, m1, _ = setup
         reg = ModelRegistry()
         reg.register("m", m1, promote=True)
-        with ServingGateway(reg, max_batch=4, max_delay=0.05) as gw:
+        with ServingGateway(reg, max_batch=4) as gw:
             gw.predict("m", X[0], timeout=5.0)
             hit_before = gw.stats().per_name["m"].cache_invalidations
             reg.set_reference("m", X)
@@ -420,7 +420,7 @@ class TestMonitoringPlaneGateway:
         # far below the injected shift's score (> 2)
         plane.add_rule(PsiThresholdRule(threshold=0.5, action="rollback"))
 
-        with ServingGateway(reg, max_batch=32, max_delay=0.05) as gw:
+        with ServingGateway(reg, max_batch=32) as gw:
             plane.attach(gw)
             tickets = [gw.submit("m", r) for r in rows]
             gw.flush()
@@ -437,7 +437,7 @@ class TestMonitoringPlaneGateway:
         # production version) is bit-identical
         reg2 = ModelRegistry()
         reg2.register("m", m2, promote=True)
-        with ServingGateway(reg2, max_batch=32, max_delay=0.05) as gw2:
+        with ServingGateway(reg2, max_batch=32) as gw2:
             tickets = [gw2.submit("m", r) for r in rows]
             gw2.flush()
             plain = np.array([t.result(10.0) for t in tickets])
@@ -455,7 +455,7 @@ class TestMonitoringPlaneGateway:
             def on_result(self, name, kind, block, value):
                 raise RuntimeError("boom")
 
-        with ServingGateway(reg, max_batch=8, max_delay=0.05) as gw:
+        with ServingGateway(reg, max_batch=8) as gw:
             gw.add_tap(BadTap())
             tickets = [gw.submit("m", r) for r in X[:20]]
             gw.flush()
@@ -473,7 +473,7 @@ class TestMonitoringPlaneGateway:
         reg.set_reference("m", X)
         plane = MonitoringPlane(reg, eval_every=10**9)
         plane.watch("m")
-        with ServingGateway(reg, max_batch=8, max_delay=0.05) as gw:
+        with ServingGateway(reg, max_batch=8) as gw:
             plane.attach(gw)
             gw.predict("m", X[0], timeout=5.0)
             plane.detach()
@@ -487,7 +487,7 @@ class TestMonitoringPlaneGateway:
         reg.set_reference("m", X, eu=epistemic_sample(m1, X))
         plane = MonitoringPlane(reg, eval_every=10**9)
         plane.watch("m")
-        with ServingGateway(reg, max_batch=4, max_delay=0.05) as gw:
+        with ServingGateway(reg, max_batch=4) as gw:
             plane.attach(gw)
             for r in X[:8]:
                 gw.predict_dist("m", r, timeout=5.0)
@@ -516,7 +516,7 @@ class TestMonitoringPlaneGateway:
         plane.watch("m")
         shadow = plane.shadow("m", v2, fraction=0.5, min_outcomes=20)
         plane.add_rule(ShadowWinnerRule())
-        with ServingGateway(reg, max_batch=16, max_delay=0.05) as gw:
+        with ServingGateway(reg, max_batch=16) as gw:
             plane.attach(gw)
             tickets = [gw.submit("m", r) for r in X[:60]]
             gw.flush()
@@ -539,7 +539,7 @@ class TestMonitoringPlaneGateway:
         plane = MonitoringPlane(reg)
         plane.watch("m", reference=X)          # drift-only
         assert not plane.wants_results()
-        with ServingGateway(reg, max_batch=8, max_delay=0.05) as gw:
+        with ServingGateway(reg, max_batch=8) as gw:
             plane.attach(gw)
             assert gw._result_taps == ()       # dispatch skipped entirely
             plane.shadow("m", v2, fraction=1.0)

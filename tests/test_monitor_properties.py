@@ -194,7 +194,7 @@ class TestMonitoredSoak:
             plane = None
             results: dict[int, float] = {}
             lock = threading.Lock()
-            with ServingGateway(reg, max_batch=16, max_delay=0.002) as gw:
+            with ServingGateway(reg, max_batch=16) as gw:
                 if monitored:
                     plane = MonitoringPlane(reg, window=64, min_window=32,
                                             eval_every=16, cooldown_s=1e9)
@@ -206,8 +206,8 @@ class TestMonitoredSoak:
                     plane.attach(gw)
                 errors: list[Exception] = []
 
-                # deterministic interleaving: three fixed row shards with
-                # barriers at each stage change
+                # deterministic interleaving: three fixed row shards, and
+                # a barrier on each side of every stage change
                 barrier = threading.Barrier(4)
                 shards = np.array_split(np.arange(len(rows)), 3)
 
@@ -222,6 +222,10 @@ class TestMonitoredSoak:
                                 with lock:
                                     results[int(i)] = results_i
                             barrier.wait(timeout=30.0)
+                            if stage < 3:
+                                # main's stage change happens-before the
+                                # next stage's first submit
+                                barrier.wait(timeout=30.0)
                     except Exception as exc:  # pragma: no cover - fails the test
                         errors.append(exc)
 
@@ -235,6 +239,7 @@ class TestMonitoredSoak:
                         reg.promote("m", v2)
                     else:
                         reg.rollback("m")
+                    barrier.wait(timeout=30.0)  # release the next stage
                 barrier.wait(timeout=30.0)
                 for t in threads:
                     t.join(timeout=30.0)

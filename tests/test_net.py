@@ -77,7 +77,7 @@ def model():
 def gateway(model):
     reg = ModelRegistry()
     reg.register("lin", model, promote=True)
-    with ServingGateway(reg, max_batch=32, max_delay=0.002, cache_entries=1) as gw:
+    with ServingGateway(reg, max_batch=32, cache_entries=1) as gw:
         yield gw
 
 
@@ -339,9 +339,10 @@ class TestAdmissionControl:
     def _slow_gateway(self, model):
         reg = ModelRegistry()
         reg.register("lin", model, promote=True)
-        # no size trigger, slow deadline flush: tickets stay in flight
-        # long enough for an unthrottled burst to overrun any budget
-        return ServingGateway(reg, max_batch=10_000, max_delay=0.25, cache_entries=1)
+        # no size trigger: only the edge's collector flushes, so tickets
+        # stay in flight long enough for an unthrottled burst to overrun
+        # any budget
+        return ServingGateway(reg, max_batch=10_000, cache_entries=1)
 
     def test_server_budget_sheds_overloaded(self, model):
         rows = _rows(50, seed=15)

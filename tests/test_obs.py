@@ -103,7 +103,7 @@ def _gateway(tracer=None, trace_sample=1, max_batch=8):
     reg = ModelRegistry()
     reg.register("lin", LinearModel(), promote=True)
     return ServingGateway(
-        reg, max_batch=max_batch, max_delay=0.05, cache_entries=1,
+        reg, max_batch=max_batch, cache_entries=1,
         tracer=tracer, trace_sample=trace_sample,
     )
 

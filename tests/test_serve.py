@@ -7,7 +7,6 @@ perturb predictions, and the cache must never serve across a version
 boundary.
 """
 
-import math
 import pickle
 import threading
 import time
@@ -19,11 +18,13 @@ import pytest
 from repro.ml.forest import RandomForestRegressor
 from repro.ml.gbm import GradientBoostingRegressor
 from repro.serve import (
+    ErrorCode,
     MicroBatcher,
     ModelRegistry,
     PredictionCache,
     ServingGateway,
     freeze_arrays,
+    code_of,
     request_digest,
 )
 
@@ -211,7 +212,7 @@ class TestMicroBatcher:
         X, _ = data
         rows = _data(n=300, seed=3)[0]
         ref = np.array([gbm.predict(r[None, :])[0] for r in rows])
-        with MicroBatcher(gbm, max_batch=32, max_delay=0.02) as mb:
+        with MicroBatcher(gbm, max_batch=32) as mb:
             with ThreadPoolExecutor(8) as ex:
                 tickets = list(ex.map(mb.submit, rows))
             mb.flush()
@@ -223,7 +224,7 @@ class TestMicroBatcher:
         ref_p = np.array([forest.predict(r[None, :])[0] for r in rows])
         ref_m = np.array([forest.predict_dist(r[None, :])[0][0] for r in rows])
         ref_v = np.array([forest.predict_dist(r[None, :])[1][0] for r in rows])
-        with MicroBatcher(forest, max_batch=48, max_delay=0.02) as mb:
+        with MicroBatcher(forest, max_batch=48) as mb:
             tp = [mb.submit(r, kind="predict") for r in rows]
             td = [mb.submit(r, kind="predict_dist") for r in rows]
             mb.flush()
@@ -238,7 +239,7 @@ class TestMicroBatcher:
         afterwards must not change what the flush scores."""
         rows = _data(n=4, seed=16)[0]
         buf = rows[0].copy()
-        with MicroBatcher(gbm, max_batch=10_000, max_delay=600.0) as mb:
+        with MicroBatcher(gbm, max_batch=10_000) as mb:
             ticket = mb.submit(buf)
             buf[:] = rows[1]  # client reuses its buffer before the flush
             mb.flush()
@@ -247,7 +248,7 @@ class TestMicroBatcher:
     def test_multi_row_blocks(self, data, gbm):
         rng = np.random.default_rng(5)
         blocks = [rng.normal(0, 1, (m, data[0].shape[1])) for m in (1, 3, 7, 2, 5)]
-        with MicroBatcher(gbm, max_batch=1000, max_delay=5.0) as mb:
+        with MicroBatcher(gbm, max_batch=1000) as mb:
             tickets = [mb.submit(b) for b in blocks]
             mb.flush()
             outs = [t.result(10.0) for t in tickets]
@@ -256,7 +257,7 @@ class TestMicroBatcher:
 
     def test_size_trigger_flushes_without_deadline(self, data, gbm):
         rows = _data(n=16, seed=6)[0]
-        with MicroBatcher(gbm, max_batch=8, max_delay=600.0) as mb:
+        with MicroBatcher(gbm, max_batch=8) as mb:
             tickets = [mb.submit(r) for r in rows]
             # 16 rows with max_batch=8 → two size flushes, no deadline wait
             out = np.array([t.result(timeout=5.0) for t in tickets])
@@ -264,23 +265,24 @@ class TestMicroBatcher:
             assert mb.counters()["deadline_flushes"] == 0
         assert np.array_equal(out, np.array([gbm.predict(r[None, :])[0] for r in rows]))
 
-    def test_deadline_trigger_flushes_partial_batch(self, data, gbm):
+    def test_first_waiter_flushes_partial_batch(self, data, gbm):
+        """No size flush, no flush() call: the first result() scores the
+        whole pending batch, and the later ones find their answers."""
         rows = _data(n=3, seed=7)[0]
-        with MicroBatcher(gbm, max_batch=10_000, max_delay=0.03) as mb:
-            t0 = time.monotonic()
+        with MicroBatcher(gbm, max_batch=10_000) as mb:
             tickets = [mb.submit(r) for r in rows]
             out = [t.result(timeout=5.0) for t in tickets]  # no manual flush
-            elapsed = time.monotonic() - t0
-            assert mb.counters()["deadline_flushes"] >= 1
-            assert mb.counters()["size_flushes"] == 0
-        assert elapsed < 5.0
+            c = mb.counters()
+            assert (c["size_flushes"], c["manual_flushes"], c["batches"]) == (0, 1, 1)
+            assert c["deadline_flushes"] == 0
+            assert [t.batch_pos for t in tickets] == [0, 1, 2]
         assert np.array_equal(
             np.array(out), np.array([gbm.predict(r[None, :])[0] for r in rows])
         )
 
     def test_fifo_order_under_concurrent_submitters(self, data, gbm):
         rows = _data(n=400, seed=8)[0]
-        with MicroBatcher(gbm, max_batch=64, max_delay=0.02) as mb:
+        with MicroBatcher(gbm, max_batch=64) as mb:
             with ThreadPoolExecutor(8) as ex:
                 tickets = list(ex.map(mb.submit, rows))
             mb.flush()
@@ -305,7 +307,7 @@ class TestMicroBatcher:
             return gbm
 
         row = _data(n=1, seed=9)[0][0]
-        with MicroBatcher(flaky, max_batch=1, max_delay=0.01) as mb:
+        with MicroBatcher(flaky, max_batch=1) as mb:
             with pytest.raises(RuntimeError, match="model store down"):
                 mb.submit(row).result(timeout=5.0)
             # the next batch resolves fine
@@ -314,7 +316,7 @@ class TestMicroBatcher:
     def test_bad_request_does_not_poison_cobatched_neighbours(self, data, gbm):
         """A wrong-width row must fail alone; the rest of its flush succeeds."""
         rows = _data(n=6, seed=14)[0]
-        with MicroBatcher(gbm, max_batch=10_000, max_delay=600.0) as mb:
+        with MicroBatcher(gbm, max_batch=10_000) as mb:
             good = [mb.submit(r) for r in rows[:3]]
             bad = mb.submit(np.zeros(rows.shape[1] + 2))  # wrong feature count
             good += [mb.submit(r) for r in rows[3:]]
@@ -327,7 +329,7 @@ class TestMicroBatcher:
     def test_unsupported_kind_fails_only_its_tickets(self, data, gbm):
         """predict_dist against a GBM errors those tickets, not the predicts."""
         rows = _data(n=4, seed=15)[0]
-        with MicroBatcher(gbm, max_batch=10_000, max_delay=600.0) as mb:
+        with MicroBatcher(gbm, max_batch=10_000) as mb:
             tp = [mb.submit(r, kind="predict") for r in rows]
             td = mb.submit(rows[0], kind="predict_dist")  # GBM has no predict_dist
             mb.flush()
@@ -337,13 +339,12 @@ class TestMicroBatcher:
         assert np.array_equal(out, np.array([gbm.predict(r[None, :])[0] for r in rows]))
 
     def test_close_completes_all_accepted_requests(self, data, gbm):
-        """close() waits for in-flight deadline flushes: every accepted
-        ticket is done when it returns, even mid-scoring."""
+        """close() scores everything still pending: every accepted ticket
+        is done when it returns, with nobody having waited on it."""
         rows = _data(n=5, seed=17)[0]
-        mb = MicroBatcher(gbm, max_batch=10_000, max_delay=0.005)
+        mb = MicroBatcher(gbm, max_batch=10_000)
         tickets = [mb.submit(r) for r in rows]
-        time.sleep(0.02)  # let the deadline timer drain and spawn a flusher
-        tickets += [mb.submit(r) for r in rows]  # a second, still-pending wave
+        tickets += [mb.submit(r) for r in rows]  # a second pending wave
         mb.close()
         assert all(t.done() for t in tickets)
         out = np.array([t.result() for t in tickets])
@@ -352,7 +353,7 @@ class TestMicroBatcher:
 
     def test_close_waits_for_inline_size_flush(self, data, gbm):
         """close() must also wait for a size-triggered flush scoring inline
-        in another submitter thread, not just the deadline threads."""
+        in another submitter thread."""
         rows = _data(n=2, seed=18)[0]
 
         class Slow:
@@ -360,7 +361,7 @@ class TestMicroBatcher:
                 time.sleep(0.15)
                 return gbm.predict(X)
 
-        mb = MicroBatcher(Slow(), max_batch=2, max_delay=600.0)
+        mb = MicroBatcher(Slow(), max_batch=2)
         tickets: list = []
         worker = threading.Thread(
             target=lambda: tickets.extend(mb.submit(r) for r in rows)
@@ -384,7 +385,7 @@ class TestMicroBatcher:
         def down():
             raise RuntimeError("model store down")
 
-        with MicroBatcher(down, max_batch=10_000, max_delay=600.0) as mb:
+        with MicroBatcher(down, max_batch=10_000) as mb:
             tickets = [mb.submit(r) for r in rows]
             mb.flush()
             for t in tickets:
@@ -393,69 +394,75 @@ class TestMicroBatcher:
             errors = [t._error for t in tickets]
             assert len({id(e) for e in errors}) == len(errors)  # all private copies
 
-    def test_an_infinite_max_delay_starts_no_timer(self, gbm):
-        """``max_delay=math.inf`` is how an owner that flushes itself (a
-        shard worker) opts out of the deadline thread: the ticket stays
-        pending until that owner's explicit ``flush()``."""
+    def test_a_batcher_starts_no_thread(self, gbm):
+        """Every flush runs on a caller's thread: submit, the demand flush
+        in result() and close() start no thread, and the model is called
+        on the thread that asked for the answer."""
         row = _data(n=1, seed=22)[0][0]
-        with MicroBatcher(gbm, max_batch=10_000, max_delay=math.inf) as mb:
-            ticket = mb.submit(row)
-            assert mb._timer is None and not ticket.done()
-            assert mb.flush() == 1
-            assert mb._timer is None
-            assert ticket.result(timeout=5.0) == gbm.predict(row[None, :])[0]
-            assert mb.counters()["manual_flushes"] == 1
+        scored_on: list[int] = []
+
+        class Recording:
+            def predict_many(self, blocks):
+                scored_on.append(threading.get_ident())
+                return [gbm.predict(b) for b in blocks]
+
+        before = threading.active_count()
+        mb = MicroBatcher(Recording(), max_batch=10_000)
+        ticket = mb.submit(row)
+        assert threading.active_count() == before and not ticket.done()
+        assert ticket.result(timeout=5.0) == gbm.predict(row[None, :])[0]
+        assert threading.active_count() == before
+        assert mb.close() is True
+        assert threading.active_count() == before
+        assert scored_on == [threading.get_ident()]
+        assert mb.counters()["manual_flushes"] == 1
+
+    def test_a_wait_on_another_threads_flush_times_out_then_completes(self, gbm):
+        """A ticket drained into another thread's slow flush: a short
+        result(timeout=) raises DEADLINE_EXCEEDED, and once that flush
+        ends the same ticket returns its bit-identical value."""
+        rows = _data(n=2, seed=23)[0]
+        entered, release = threading.Event(), threading.Event()
+        scored_on: list[int] = []
+
+        class Slow:
+            def predict_many(self, blocks):
+                scored_on.append(threading.get_ident())
+                entered.set()
+                release.wait(10.0)
+                return [gbm.predict(b) for b in blocks]
+
+        with MicroBatcher(Slow(), max_batch=10_000) as mb:
+            first, second = mb.submit(rows[0]), mb.submit(rows[1])
+            flusher = threading.Thread(target=first.result)
+            flusher.start()
+            assert entered.wait(5.0)  # `second` rides that flush...
+            assert scored_on == [flusher.ident]  # ...on the first waiter's thread
+            with pytest.raises(TimeoutError) as info:
+                second.result(timeout=0.05)
+            assert code_of(info.value) is ErrorCode.DEADLINE_EXCEEDED
+            assert mb._pending == []  # drained into the running flush
+            release.set()
+            assert second.result(timeout=5.0) == gbm.predict(rows[1][None, :])[0]
+            flusher.join(5.0)
+            assert mb.counters()["batches"] == 1
 
     def test_limits_are_validated_at_construction(self, gbm):
         with pytest.raises(ValueError, match="max_batch"):
             MicroBatcher(gbm, max_batch=0)
-        with pytest.raises(ValueError, match="max_delay"):
-            MicroBatcher(gbm, max_delay=0.0)
 
     def test_submit_after_close_raises(self, gbm):
-        mb = MicroBatcher(gbm, max_batch=4, max_delay=0.01)
+        mb = MicroBatcher(gbm, max_batch=4)
         mb.close()
         with pytest.raises(RuntimeError):
             mb.submit(np.zeros(6))
 
     def test_bad_kind_and_shape_rejected(self, gbm):
-        with MicroBatcher(gbm, max_batch=4, max_delay=0.01) as mb:
+        with MicroBatcher(gbm, max_batch=4) as mb:
             with pytest.raises(ValueError):
                 mb.submit(np.zeros(6), kind="classify")
             with pytest.raises(ValueError):
                 mb.submit(np.zeros((2, 2, 2)))
-
-    def test_result_timeout_abandons_and_counts(self, data, gbm):
-        """An expired ``result(timeout=)`` tombstones the ticket: the slot
-        frees, later calls fail fast, and the batcher counts it."""
-        X, _ = data
-        with MicroBatcher(gbm, max_batch=1000, max_delay=600.0) as mb:
-            ticket = mb.submit(X[0])
-            with pytest.raises(TimeoutError):
-                ticket.result(timeout=0.01)
-            with pytest.raises(TimeoutError):
-                ticket.result(timeout=0.01)  # fails fast, no re-block
-            assert mb.abandoned == 1
-
-    def test_timeout_racing_flush_returns_the_computed_value(self, data, gbm):
-        """A flush can complete the ticket between ``result``'s wait
-        expiring and the abandon finding it already drained (a no-op).
-        The computed, counted, cached value must be handed over — not
-        discarded behind a deadline error.  The stand-in owner pins the
-        exact interleaving: the flush wins the race window."""
-        X, _ = data
-        with MicroBatcher(gbm, max_batch=1000, max_delay=600.0) as mb:
-            ticket = mb.submit(X[0])
-            ref = float(gbm.predict(X[0][None, :])[0])
-
-            class FlushFirst:
-                def _abandon(self, t):
-                    mb.flush()      # completes the ticket...
-                    mb._abandon(t)  # ...so the real abandon is a no-op
-
-            ticket._owner = FlushFirst()
-            assert ticket.result(timeout=0.01) == ref
-            assert mb.abandoned == 0  # the value was delivered, not dropped
 
 
 # ---------------------------------------------------------------------- #
@@ -516,7 +523,7 @@ class TestInferenceService:
         reg = ModelRegistry()
         reg.register("m", gbm, promote=True)
         row = _data(n=1, seed=10)[0][0]
-        with ServingGateway(reg, max_batch=4, max_delay=0.01) as gw:
+        with ServingGateway(reg, max_batch=4) as gw:
             p1 = gw.predict("m", row, timeout=5.0)
             p2 = gw.predict("m", row, timeout=5.0)
             stats = gw.stats().per_name["m"]
@@ -531,7 +538,7 @@ class TestInferenceService:
         reg.register("m", m1, promote=True)
         reg.register("m", m2)
         row = _data(n=1, seed=11)[0][0]
-        with ServingGateway(reg, max_batch=4, max_delay=0.01) as gw:
+        with ServingGateway(reg, max_batch=4) as gw:
             p1 = gw.predict("m", row, timeout=5.0)
             reg.promote("m", 2)
             assert gw.stats().per_name["m"].cache_invalidations >= 1
@@ -551,7 +558,7 @@ class TestInferenceService:
         reg.register("m", m1, promote=True)
         reg.register("m", m2)
         row = _data(n=1, seed=13)[0][0]
-        with ServingGateway(reg, max_batch=10_000, max_delay=600.0) as gw:
+        with ServingGateway(reg, max_batch=10_000) as gw:
             ticket = gw.submit("m", row)  # key carries v1
             reg.promote("m", 2)           # lands before the flush
             gw.flush()                    # scored by v2 (flush-time resolution)
@@ -562,7 +569,7 @@ class TestInferenceService:
     def test_close_deregisters_listener(self, data):
         reg = ModelRegistry()
         reg.register("m", _fresh_gbm(data), promote=True)
-        gw = ServingGateway(reg, max_batch=4, max_delay=0.01)
+        gw = ServingGateway(reg, max_batch=4)
         assert len(reg._listeners) == 1
         gw.close()
         assert reg._listeners == []
@@ -574,7 +581,7 @@ class TestInferenceService:
         reg = ModelRegistry()
         reg.register("m", _fresh_gbm(data, 0), promote=True)
         reg.register("m", _fresh_gbm(data, 1), promote=True)
-        with ServingGateway(reg, max_batch=4, max_delay=0.01) as gw:
+        with ServingGateway(reg, max_batch=4) as gw:
             cache = gw._open("m").cache
             cache.put(("m", 1, "predict", b"retired"), 1.0)
             cache.put(("m", 2, "predict", b"live"), 2.0)
@@ -591,7 +598,7 @@ class TestInferenceService:
         reg = ModelRegistry()
         reg.register("m", gbm, promote=True)
         rows = _data(n=5, seed=22)[0]
-        gw = ServingGateway(reg, max_batch=10_000, max_delay=600.0)
+        gw = ServingGateway(reg, max_batch=10_000)
         try:
             done = [gw.submit("m", r) for r in rows[:3]]
             gw.flush()
@@ -612,7 +619,7 @@ class TestInferenceService:
         reg = ModelRegistry()
         reg.register("f", forest, promote=True)
         rows = _data(n=40, seed=12)[0]
-        with ServingGateway(reg, max_batch=16, max_delay=0.01) as gw:
+        with ServingGateway(reg, max_batch=16) as gw:
             tickets = [gw.submit("f", r) for r in rows]
             gw.flush()
             for t in tickets:
@@ -624,27 +631,6 @@ class TestInferenceService:
         assert stats.mean_batch_rows > 0
         assert stats.total_latency_s > 0
         assert "requests=40" in stats.summary()
-
-    def test_abandoned_flows_into_server_stats(self, data):
-        """A result() timeout's tombstone is an operational signal — it
-        must reach ServerStats (field + summary), not stay a private
-        batcher counter."""
-        forest = _fresh_forest(data)
-        reg = ModelRegistry()
-        reg.register("f", forest, promote=True)
-        rows = _data(n=3, seed=13)[0]
-        with ServingGateway(reg, max_batch=1000, max_delay=600.0) as gw:
-            tickets = [gw.submit("f", r) for r in rows]
-            for t in tickets[:2]:
-                with pytest.raises(TimeoutError):
-                    t.result(timeout=0.01)
-            stats = gw.stats().per_name["f"]
-            assert stats.abandoned == 2
-            assert "abandoned=2" in stats.summary()
-            gw.flush()
-            assert tickets[2].result(timeout=5.0) == float(
-                forest.predict(rows[2][None, :])[0]
-            )
 
 
 # ---------------------------------------------------------------------- #

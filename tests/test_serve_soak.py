@@ -61,7 +61,7 @@ def test_threaded_soak_fifo_no_loss_bit_identity(served):
     # the cache and skip the batcher, which has no flush slot to witness
     all_rows = _data(N_THREADS * N_PER_THREAD, seed=9)[0]
 
-    with ServingGateway(reg, max_batch=24, max_delay=0.002) as gw:
+    with ServingGateway(reg, max_batch=24) as gw:
         records = [[] for _ in range(N_THREADS)]  # (name, row_idx, ticket)
         errors: list[Exception] = []
         start = threading.Barrier(N_THREADS + 1)

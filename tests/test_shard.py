@@ -120,7 +120,7 @@ class TestBitIdentity:
         rows = _data(n=120, seed=7)[0]
         names = ["forest" if i % 3 else "gbm" for i in range(len(rows))]
 
-        with ServingGateway(reg, max_batch=16, max_delay=0.01) as gw:
+        with ServingGateway(reg, max_batch=16) as gw:
             tickets = [(n, gw.submit(n, r)) for n, r in zip(names, rows)]
             gw.flush()
             single = {"forest": [], "gbm": []}

@@ -320,7 +320,7 @@ class TestLatencyPercentiles:
             def predict(self, X):
                 return np.asarray(X)[:, 0]
 
-        batcher = MicroBatcher(_Echo(), max_batch=4, max_delay=0.001)
+        batcher = MicroBatcher(_Echo(), max_batch=4)
         try:
             tickets = [batcher.submit(np.array([float(i), 0.0]))
                        for i in range(64)]
